@@ -41,7 +41,6 @@ from .tightgen import (
     AnalyticCoreOracle,
     GadgetParams,
     LabeledInstance,
-    conventional_roles,
     detect_generated,
     generate_instance,
     infer_params,
@@ -80,10 +79,6 @@ def _add_policy(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for enumeration (default 1)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="smallcuts", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -108,13 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--p", type=int)
     verify.add_argument("--k", type=int)
     _add_epsilon(verify)
-    _add_jobs(verify)
     verify.add_argument("--out", help="write the full JSON report here")
     verify.set_defaults(func=cmd_verify)
 
     exp = sub.add_parser("experiment", help="worst-case ratio sweep over thresholds")
     exp.add_argument("--k", type=int, nargs="+", required=True, metavar="K")
-    _add_jobs(exp)
     exp.add_argument("--out", help="write the JSON table here")
     exp.set_defaults(func=cmd_experiment)
 
@@ -166,7 +159,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _verify_reports(
-    params: GadgetParams, labeled: LabeledInstance | None, clean: bool, jobs: int
+    params: GadgetParams, labeled: LabeledInstance | None, clean: bool
 ) -> tuple[list[VerifierReport], GapResult | None]:
     reports = [
         verify_cores_lemma(params, labeled),
@@ -174,7 +167,7 @@ def _verify_reports(
     ]
     gap = None
     if clean:
-        gap = gap_experiment(params, policy=TiePolicy.ADVERSARIAL, jobs=jobs)
+        gap = gap_experiment(params, policy=TiePolicy.ADVERSARIAL)
     return reports, gap
 
 
@@ -185,13 +178,7 @@ def _labeled_from_foreign(inst: Instance, params: GadgetParams) -> LabeledInstan
     blue = tuple(i for i, ln in enumerate(inst.links) if ln.tag == "blue")
     if len(red) + len(blue) != len(inst.links):
         raise InvalidParameterError("instance has untagged links; cannot split red from blue")
-    return LabeledInstance(
-        instance=inst,
-        params=params,
-        roles=conventional_roles(params.p),
-        red_links=red,
-        blue_links=blue,
-    )
+    return LabeledInstance(instance=inst, params=params, red_links=red, blue_links=blue)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -200,21 +187,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         labeled = detect_generated(inst)
         if labeled is not None:
             params = labeled.params
-            reports, gap = _verify_reports(params, labeled, clean=True, jobs=args.jobs)
+            reports, gap = _verify_reports(params, labeled, clean=True)
         else:
             params = infer_params(inst)
             if params is None:
                 raise InvalidParameterError(
                     "instance does not match the generated family shape; pass --q/--p/--k instead"
                 )
-            reports, gap = _verify_reports(
-                params, _labeled_from_foreign(inst, params), clean=False, jobs=args.jobs
-            )
+            reports, gap = _verify_reports(params, _labeled_from_foreign(inst, params), clean=False)
     else:
         if args.q is None or args.p is None or args.k is None:
             raise InvalidParameterError("pass an instance path or all of --q, --p, --k")
         params = GadgetParams(q=args.q, p=args.p, k=args.k, epsilon=as_cost(args.epsilon))
-        reports, gap = _verify_reports(params, None, clean=True, jobs=args.jobs)
+        reports, gap = _verify_reports(params, None, clean=True)
 
     failures = 0
     for report in reports:
@@ -245,7 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    rows = gap_sweep(args.k, jobs=args.jobs)
+    rows = gap_sweep(args.k)
     print(f"{'k':>4} {'p':>4} {'ratio':>10} {'formula':>10} {'match':>6} {'opt':>9}")
     for row in rows:
         print(

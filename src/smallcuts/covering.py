@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Protocol, Sequence
 
-from .errors import BoundExceededError, InfeasibleError, InvalidParameterError
-from .multigraph import Cut, MultiGraph, cut_degree, global_min_cut
+from .errors import BoundExceededError, InvalidParameterError, VerificationError, require_int
+from .multigraph import Cut, MultiGraph, global_min_cut
 
 LINK_TAGS = (None, "red", "blue")
 
@@ -89,6 +89,8 @@ class Link:
     tag: str | None = None
 
     def __post_init__(self) -> None:
+        require_int(self.u, "link endpoint")
+        require_int(self.v, "link endpoint")
         if self.u == self.v:
             raise InvalidParameterError(f"link endpoints must differ, got ({self.u},{self.v})")
         if self.u < 0 or self.v < 0:
@@ -110,6 +112,7 @@ class Instance:
     links: tuple[Link, ...]
 
     def __post_init__(self) -> None:
+        require_int(self.k, "threshold k")
         if self.k < 1:
             raise InvalidParameterError(f"threshold k must be at least 1, got k={self.k}")
         links = tuple(self.links)
@@ -132,10 +135,6 @@ class Instance:
 
 def link_crosses(link: Link, s: Cut) -> bool:
     return s.contains(link.u) != s.contains(link.v)
-
-
-def is_small_cut(inst: Instance, s: Cut) -> bool:
-    return cut_degree(inst.graph, s) < inst.k
 
 
 def _cut_degrees_excluding(g: MultiGraph, root: int) -> list[int]:
@@ -262,7 +261,7 @@ def cores_bruteforce(inst: Instance, selected: Sequence[Link] = ()) -> list[Cut]
     Representatives from violated_cuts are rejoined with their complements
     before the minimality sweep, since a cut and its complement are violated
     together but minimality is a property of node sets.  The returned cores
-    are pairwise disjoint; that is asserted, not assumed.
+    are pairwise disjoint; that is checked, not assumed.
     """
     full = (1 << inst.n) - 1
     reps = violated_cuts(inst, selected)
@@ -276,7 +275,8 @@ def cores_bruteforce(inst: Instance, selected: Sequence[Link] = ()) -> list[Cut]
             cores.append(mask)
     for i, a in enumerate(cores):
         for b in cores[i + 1 :]:
-            assert a & b == 0, "minimal violated cuts must be pairwise disjoint"
+            if a & b:
+                raise VerificationError("minimal violated cuts must be pairwise disjoint")
     return [Cut(mask, inst.n) for mask in sorted(cores)]
 
 
@@ -285,9 +285,3 @@ class BruteForceCoreOracle:
 
     def cores(self, inst: Instance, selected: Sequence[Link]) -> list[Cut]:
         return cores_bruteforce(inst, selected)
-
-
-def require_feasible(inst: Instance) -> None:
-    """Raise InfeasibleError unless selecting every link yields a cover."""
-    if not covers(inst, inst.links):
-        raise InfeasibleError("no feasible cover: even selecting every link leaves a small cut uncovered")

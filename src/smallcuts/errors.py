@@ -20,3 +20,10 @@ class ConstructionError(SmallCutsError):
 
 class VerificationError(SmallCutsError):
     """A verifier assertion did not hold."""
+
+
+def require_int(value: object, what: str) -> int:
+    """Return `value` if it is a plain int; bool and float are rejected."""
+    if type(value) is not int:
+        raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+    return value

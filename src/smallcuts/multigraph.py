@@ -53,9 +53,6 @@ class Cut:
     def complement(self) -> "Cut":
         return Cut(self.mask ^ ((1 << self.n) - 1), self.n)
 
-    def is_subset_of(self, other: "Cut") -> bool:
-        return self.n == other.n and self.mask & other.mask == self.mask
-
     def __repr__(self) -> str:
         return f"Cut({{{','.join(map(str, self.nodes()))}}}, n={self.n})"
 
@@ -82,6 +79,11 @@ class MultiGraph:
             raise InvalidParameterError(f"graph needs at least 1 node, got n={n}")
         folded: dict[tuple[int, int], int] = {}
         for u, v, mult in edges:
+            # checked inline, not with require_int: covers builds a graph per call
+            if type(u) is not int or type(v) is not int or type(mult) is not int:
+                raise InvalidParameterError(
+                    f"node ids and multiplicities must be integers, got edge ({u!r},{v!r},{mult!r})"
+                )
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameterError(f"edge ({u},{v}) out of range [0, {n})")
             if u == v:
@@ -114,9 +116,6 @@ class MultiGraph:
     def node_degree(self, v: int) -> int:
         return sum(m for _, m in self._adj[v])
 
-    def total_multiplicity(self) -> int:
-        return sum(m for _, _, m in self.edges)
-
     def multiplicity(self, u: int, v: int) -> int:
         for w, m in self._adj[u]:
             if w == v:
@@ -148,13 +147,6 @@ def cut_degree(g: MultiGraph, s: Cut) -> int:
     _check_ambient(g, s)
     mask = s.mask
     return sum(m for u, v, m in g.edges if (mask >> u & 1) != (mask >> v & 1))
-
-
-def delta_edges(g: MultiGraph, s: Cut) -> list[tuple[int, int, int]]:
-    """The stored edge records crossing s; multiplicities sum to cut_degree."""
-    _check_ambient(g, s)
-    mask = s.mask
-    return [(u, v, m) for u, v, m in g.edges if (mask >> u & 1) != (mask >> v & 1)]
 
 
 def _component_mask(g: MultiGraph, start: int) -> int:

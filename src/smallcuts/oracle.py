@@ -8,7 +8,6 @@ a regression points at the exact identity or cut that broke.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -27,6 +26,7 @@ from .tightgen import (
     AnalyticCoreOracle,
     GadgetParams,
     LabeledInstance,
+    degree_identities,
     expected_family_slices,
     generate_instance,
 )
@@ -77,72 +77,41 @@ class SweepRow:
     opt_is_analytic: bool
 
 
-def _scan_combos(
-    inst: Instance,
-    combos: Sequence[tuple[int, ...]],
-    bound: Fraction | None,
-) -> tuple[Fraction, tuple[int, ...]] | None:
-    """Best (cost, combo) among feasible combos strictly under bound.
-
-    Scans in the given (lexicographic) order, so the returned combo is the
-    lexicographically first one attaining the chunk's best cost.
-    """
-    links = inst.links
-    best: tuple[Fraction, tuple[int, ...]] | None = None
-    for combo in combos:
-        cost = sum((links[i].cost for i in combo), Fraction(0))
-        if bound is not None and cost >= bound:
-            continue
-        if best is not None and cost >= best[0]:
-            continue
-        if covers(inst, [links[i] for i in combo]):
-            best = (cost, combo)
-    return best
-
-
-def brute_force_optimum(
-    inst: Instance,
-    link_bound: int = DEFAULT_LINK_BOUND,
-    jobs: int = 1,
-) -> tuple[Fraction, tuple[int, ...]]:
+def brute_force_optimum(inst: Instance) -> tuple[Fraction, tuple[int, ...]]:
     """Exact minimum-cost cover by subset enumeration.
 
     Deterministic tie break: cheapest cost, then fewest links, then
     lexicographically smallest index tuple.  Enumeration runs in increasing
     subset size; once the sum of the `size` smallest link costs cannot beat
     the incumbent, no larger subset can either, and the search stops.
+    Within a size, only a strictly cheaper subset replaces the incumbent,
+    so the first one found in lexicographic order wins ties.
     """
-    m = len(inst.links)
-    if m > link_bound:
-        raise BoundExceededError(
-            f"{m} links exceed the enumeration bound {link_bound}; raise link_bound to force it"
-        )
+    links = inst.links
+    m = len(links)
+    if m > DEFAULT_LINK_BOUND:
+        raise BoundExceededError(f"{m} links exceed the enumeration bound {DEFAULT_LINK_BOUND}")
     if covers(inst, []):
         return Fraction(0), ()
-    if not covers(inst, inst.links):
+    if not covers(inst, links):
         raise InfeasibleError("no feasible cover exists: all links together leave a small cut")
-    prefix = [Fraction(0)] + list(itertools.accumulate(sorted(ln.cost for ln in inst.links)))
+    prefix = [Fraction(0)] + list(itertools.accumulate(sorted(ln.cost for ln in links)))
     best: tuple[Fraction, tuple[int, ...]] | None = None
     for size in range(1, m + 1):
         if best is not None and prefix[size] >= best[0]:
             break
-        bound = best[0] if best is not None else None
-        combos = list(itertools.combinations(range(m), size))
-        if jobs > 1 and len(combos) > 1:
-            step = (len(combos) + jobs - 1) // jobs
-            chunks = [combos[i : i + step] for i in range(0, len(combos), step)]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_scan_combos, itertools.repeat(inst), chunks, itertools.repeat(bound)))
-            found = [r for r in results if r is not None]
-            level_best = min(found) if found else None
-        else:
-            level_best = _scan_combos(inst, combos, bound)
-        if level_best is not None and (best is None or level_best[0] < best[0]):
-            best = level_best
-    assert best is not None, "feasible overall but no subset found; enumeration is broken"
+        for combo in itertools.combinations(range(m), size):
+            cost = sum((links[i].cost for i in combo), Fraction(0))
+            if best is not None and cost >= best[0]:
+                continue
+            if covers(inst, [links[i] for i in combo]):
+                best = (cost, combo)
+    if best is None:
+        raise VerificationError("feasible overall but no subset found; enumeration is broken")
     cost, combo = best
-    assert covers(inst, [inst.links[i] for i in combo])
-    return cost, tuple(combo)
+    if not covers(inst, [links[i] for i in combo]):
+        raise VerificationError(f"optimum {combo} does not cover the instance")
+    return cost, combo
 
 
 def _fmt_cut(s: Cut, inst: Instance) -> str:
@@ -155,37 +124,8 @@ def _fmt_cuts(cuts: Sequence[Cut], inst: Instance) -> str:
 
 def _degree_checks(labeled: LabeledInstance) -> list[Check]:
     """The degree identities quoted in the core characterizations, rechecked."""
-    params = labeled.params
-    q, p, k = params.q, params.p, params.k
-    g = labeled.instance.graph
-    n = g.n
-    z, b, r = 4 * p, 4 * p + 1, 4 * p + 2
-
-    out: list[Check] = []
-
-    def check(name: str, got: int, want: int) -> None:
-        out.append(Check(name, got == want, f"got {got}, want {want}"))
-
-    check("d(r) = k-p", g.node_degree(r), k - p)
-    check("d(b) = 2k-2pq-1", g.node_degree(b), 2 * k - 2 * p * q - 1)
-    c_nodes = [z]
-    for i in range(p):
-        t, a, x, y = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
-        s = f"_{i + 1}" if p > 1 else ""
-        check(f"d(t{s}) = k-1", g.node_degree(t), k - 1)
-        check(f"d(a{s}) = k", g.node_degree(a), k)
-        check(f"d(x{s}) = k", g.node_degree(x), k)
-        check(f"d(y{s}) = 2k-2q", g.node_degree(y), 2 * k - 2 * q)
-        check(f"d(A{s}) = 2q-1", cut_degree(g, Cut.of((t, a), n)), 2 * q - 1)
-        check(f"d(X{s}) = k-1", cut_degree(g, Cut.of((t, a, x), n)), k - 1)
-        check(f"d(Y{s}) = k-1", cut_degree(g, Cut.of((t, a, x, y), n)), k - 1)
-        c_nodes += [x, y]
-    check("d(C) = k-1", cut_degree(g, Cut.of(tuple(c_nodes), n)), k - 1)
-    if p == 1:
-        check("d(z) = 2k-2q-1", g.node_degree(z), 2 * k - 2 * q - 1)
-        check("d({x,y}) = k", cut_degree(g, Cut.of((2, 3), n)), k)
-        check("d({y,z}) = 2k-2q-1", cut_degree(g, Cut.of((3, z), n)), 2 * k - 2 * q - 1)
-    return out
+    rows = degree_identities(labeled)
+    return [Check(name, got == want, f"got {got}, want {want}") for name, got, want in rows]
 
 
 def _non_membership_checks(labeled: LabeledInstance) -> list[Check]:
@@ -357,8 +297,6 @@ def verify_feasibility_lemma(
 def gap_experiment(
     params: GadgetParams,
     policy: TiePolicy = TiePolicy.ADVERSARIAL,
-    link_bound: int = DEFAULT_LINK_BOUND,
-    jobs: int = 1,
 ) -> GapResult:
     """Run the two-phase algorithm against the exact optimum.
 
@@ -370,16 +308,16 @@ def gap_experiment(
     inst = labeled.instance
     result = run(inst, policy=policy, oracle=AnalyticCoreOracle(labeled))
     alg_cost = result.final_cost(inst)
-    if len(inst.links) <= link_bound:
-        opt_cost, _ = brute_force_optimum(inst, link_bound=link_bound, jobs=jobs)
+    if len(inst.links) <= DEFAULT_LINK_BOUND:
+        opt_cost, _ = brute_force_optimum(inst)
         analytic = False
     elif params.epsilon == 0:
         opt_cost = Fraction(params.p + 2)
         analytic = True
     else:
         raise BoundExceededError(
-            f"{len(inst.links)} links exceed the bound {link_bound} and the perturbed "
-            "variant has no closed-form optimum here; raise link_bound"
+            f"{len(inst.links)} links exceed the bound {DEFAULT_LINK_BOUND} and the perturbed "
+            "variant has no closed-form optimum here"
         )
     dual_obj = result.dual.objective()
     if not dual_feasible(inst, result.dual):
@@ -400,11 +338,7 @@ def gap_experiment(
     )
 
 
-def gap_sweep(
-    k_list: Sequence[int],
-    link_bound: int = DEFAULT_LINK_BOUND,
-    jobs: int = 1,
-) -> list[SweepRow]:
+def gap_sweep(k_list: Sequence[int]) -> list[SweepRow]:
     """Worst-case ratio per threshold: q=1 and the largest admissible p.
 
     p = floor((k-1)/2), so odd k lands on 5(k-1)/(k+3) and even k on
@@ -414,7 +348,7 @@ def gap_sweep(
     for k in k_list:
         p = (k - 1) // 2
         params = GadgetParams(q=1, p=p, k=k)
-        res = gap_experiment(params, policy=TiePolicy.ADVERSARIAL, link_bound=link_bound, jobs=jobs)
+        res = gap_experiment(params, policy=TiePolicy.ADVERSARIAL)
         if k % 2 == 1:
             formula = Fraction(5 * (k - 1), k + 3)
         else:

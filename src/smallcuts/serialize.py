@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Any
 
 from .covering import Instance, Link, as_cost
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, require_int
 from .multigraph import MultiGraph
 from .oracle import GapResult, SweepRow, VerifierReport
 from .wgmv import RunResult, cost_of
@@ -48,23 +48,17 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidParameterError(msg)
 
 
-def _as_id(value: Any, what: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def instance_from_obj(obj: Any) -> Instance:
     _require(isinstance(obj, dict), "instance document must be a JSON object")
     for key in ("k", "nodes", "edges", "links"):
         _require(key in obj, f"instance document is missing the {key!r} field")
-    k = _as_id(obj["k"], "k")
     nodes = obj["nodes"]
     _require(isinstance(nodes, list) and nodes, "nodes must be a nonempty list")
     n = len(nodes)
     labels: list[str | None] = [None] * n
     for entry in nodes:
         _require(isinstance(entry, dict), "each node must be an object")
-        v = _as_id(entry.get("id"), "node id")
+        v = require_int(entry.get("id"), "node id")
         _require(0 <= v < n and labels[v] is None, f"node ids must be 0..{n - 1} without repeats")
         label = entry.get("label", str(v))
         _require(isinstance(label, str), f"node {v} label must be a string")
@@ -73,9 +67,7 @@ def instance_from_obj(obj: Any) -> Instance:
     _require(isinstance(obj["edges"], list), "edges must be a list")
     for entry in obj["edges"]:
         _require(isinstance(entry, dict), "each edge must be an object")
-        edges.append(
-            (_as_id(entry.get("u"), "edge u"), _as_id(entry.get("v"), "edge v"), _as_id(entry.get("mult"), "edge mult"))
-        )
+        edges.append((entry.get("u"), entry.get("v"), entry.get("mult")))
     links = []
     _require(isinstance(obj["links"], list), "links must be a list")
     for entry in obj["links"]:
@@ -84,14 +76,14 @@ def instance_from_obj(obj: Any) -> Instance:
         _require(isinstance(cost, (str, int)) and not isinstance(cost, bool), "link cost must be a string or integer")
         links.append(
             Link(
-                u=_as_id(entry.get("u"), "link u"),
-                v=_as_id(entry.get("v"), "link v"),
+                u=entry.get("u"),
+                v=entry.get("v"),
                 cost=as_cost(cost),
                 tag=entry.get("tag"),
             )
         )
     graph = MultiGraph(n, edges, labels=[lb if lb is not None else "" for lb in labels])
-    return Instance(graph=graph, k=k, links=tuple(links))
+    return Instance(graph=graph, k=obj["k"], links=tuple(links))
 
 
 def instance_from_text(text: str) -> Instance:

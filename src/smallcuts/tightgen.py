@@ -8,7 +8,8 @@ phase 1.  Every build is validated against an exact degree battery; a
 mismatch is a construction bug, never a warning.
 
 Node ids: gadget i (0-based) occupies 4i..4i+3 as t, a, x, y; then z=4p,
-b=4p+1, r=4p+2.  Role names are 1-based (t1, a1, ...) regardless of p.
+b=4p+1, r=4p+2.  Node labels are t, a, x, y, z, b, r at p=1 and 1-based
+(t1, a1, ...) for the gadget nodes at p>=2.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .covering import Instance, Link, as_cost, cores_bruteforce
-from .errors import ConstructionError, InvalidParameterError
+from .errors import ConstructionError, InvalidParameterError, require_int
 from .multigraph import Cut, MultiGraph, cut_degree
 
 EPSILON_DEFAULT = Fraction(1, 100)
@@ -35,9 +36,7 @@ class GadgetParams:
 
     def __post_init__(self) -> None:
         for name in ("q", "p", "k"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InvalidParameterError(f"{name} must be an integer, got {v!r}")
+            require_int(getattr(self, name), name)
         if self.q < 1:
             raise InvalidParameterError(f"requires q >= 1, got q={self.q}")
         if self.p < 1:
@@ -60,16 +59,12 @@ class GadgetParams:
 
 @dataclass(frozen=True)
 class LabeledInstance:
-    """A generated instance plus the role map and red/blue index sets."""
+    """A generated instance plus its parameters and red/blue index sets."""
 
     instance: Instance
     params: GadgetParams
-    roles: dict[str, int]
     red_links: tuple[int, ...]
     blue_links: tuple[int, ...]
-
-    def node(self, role: str) -> int:
-        return self.roles[role]
 
     def red(self) -> list[Link]:
         return [self.instance.links[i] for i in self.red_links]
@@ -124,7 +119,6 @@ def _build(params: GadgetParams) -> LabeledInstance:
     labeled = LabeledInstance(
         instance=Instance(graph=graph, k=k, links=links),
         params=params,
-        roles=conventional_roles(p),
         red_links=tuple(range(p + 1, 4 * p + 1)),
         blue_links=tuple(range(p + 1)),
     )
@@ -132,55 +126,74 @@ def _build(params: GadgetParams) -> LabeledInstance:
     return labeled
 
 
-def conventional_roles(p: int) -> dict[str, int]:
-    """Role-name to node-id map under the fixed node layout, 1-based names."""
-    roles: dict[str, int] = {}
-    for i in range(p):
-        t, a, x, y = _gadget_nodes(i)
-        roles.update({f"t{i + 1}": t, f"a{i + 1}": a, f"x{i + 1}": x, f"y{i + 1}": y})
-    z, b, r = _axis(p)
-    roles.update({"z": z, "b": b, "r": r})
-    return roles
+def _dcut(g: MultiGraph, *nodes: int) -> int:
+    return cut_degree(g, Cut.of(nodes, g.n))
 
 
-def _validate_construction(labeled: LabeledInstance) -> None:
-    """Exact degree battery; raises ConstructionError naming the failure."""
+def degree_identities(labeled: LabeledInstance) -> list[tuple[str, int, int]]:
+    """The degree identities the core characterization quotes, in order.
+
+    Each row is (name, got, want), with `got` measured on the labeled
+    instance's own graph, so a corrupted graph shows up as got != want.
+    """
     params = labeled.params
     q, p, k = params.q, params.p, params.k
     g = labeled.instance.graph
     z, b, r = _axis(p)
-
-    def check(name: str, got: int, want: int) -> None:
-        if got != want:
-            raise ConstructionError(f"degree identity failed: {name} = {got}, expected {want}")
-
-    def dcut(nodes: tuple[int, ...]) -> int:
-        return cut_degree(g, Cut.of(nodes, g.n))
-
-    check("d(r)", g.node_degree(r), k - p)
-    check("d(b)", g.node_degree(b), 2 * k - 2 * p * q - 1)
-    check("d(z)", g.node_degree(z), (p + 1) * k - 2 * p * q - 1)
-    c_nodes: list[int] = [z]
+    rows = [
+        ("d(r) = k-p", g.node_degree(r), k - p),
+        ("d(b) = 2k-2pq-1", g.node_degree(b), 2 * k - 2 * p * q - 1),
+    ]
+    c_nodes = [z]
     for i in range(p):
         t, a, x, y = _gadget_nodes(i)
         s = f"_{i + 1}" if p > 1 else ""
-        check(f"d(t{s})", g.node_degree(t), k - 1)
-        check(f"d(a{s})", g.node_degree(a), k)
-        check(f"d(x{s})", g.node_degree(x), k)
-        check(f"d(y{s})", g.node_degree(y), 2 * k - 2 * q)
-        check(f"d(A{s})", dcut((t, a)), 2 * q - 1)
-        check(f"d(X{s})", dcut((t, a, x)), k - 1)
-        check(f"d(Y{s})", dcut((t, a, x, y)), k - 1)
-        check(f"d({{x{s},y{s}}})", dcut((x, y)), k)
+        rows += [
+            (f"d(t{s}) = k-1", g.node_degree(t), k - 1),
+            (f"d(a{s}) = k", g.node_degree(a), k),
+            (f"d(x{s}) = k", g.node_degree(x), k),
+            (f"d(y{s}) = 2k-2q", g.node_degree(y), 2 * k - 2 * q),
+            (f"d(A{s}) = 2q-1", _dcut(g, t, a), 2 * q - 1),
+            (f"d(X{s}) = k-1", _dcut(g, t, a, x), k - 1),
+            (f"d(Y{s}) = k-1", _dcut(g, t, a, x, y), k - 1),
+        ]
         c_nodes += [x, y]
-    check("d(C)", dcut(tuple(c_nodes)), k - 1)
-    if p >= 2:
-        check("d(A_1 u A_2)", dcut((0, 1, 4, 5)), 2 * (2 * q - 1))
+    rows.append(("d(C) = k-1", _dcut(g, *c_nodes), k - 1))
     if p == 1:
-        t, a, x, y = _gadget_nodes(0)
-        check("d({y,z})", dcut((y, z)), 2 * k - 2 * q - 1)
-        check("d({x,z})", dcut((x, z)), g.node_degree(x) + g.node_degree(z))
-        check("d({a,b})", dcut((a, b)), g.node_degree(a) + g.node_degree(b))
+        _, _, x, y = _gadget_nodes(0)
+        rows += [
+            ("d(z) = 2k-2q-1", g.node_degree(z), 2 * k - 2 * q - 1),
+            ("d({x,y}) = k", _dcut(g, x, y), k),
+            ("d({y,z}) = 2k-2q-1", _dcut(g, y, z), 2 * k - 2 * q - 1),
+        ]
+    return rows
+
+
+def _validate_construction(labeled: LabeledInstance) -> None:
+    """Exact degree battery; raises ConstructionError naming the failure.
+
+    The quoted identities come first, then the ones only the build relies on.
+    """
+    params = labeled.params
+    q, p, k = params.q, params.p, params.k
+    g = labeled.instance.graph
+    z, b, _ = _axis(p)
+    rows = degree_identities(labeled)
+    if p >= 2:
+        rows.append(("d(z) = (p+1)k-2pq-1", g.node_degree(z), (p + 1) * k - 2 * p * q - 1))
+        for i in range(p):
+            _, _, x, y = _gadget_nodes(i)
+            rows.append((f"d({{x_{i + 1},y_{i + 1}}}) = k", _dcut(g, x, y), k))
+        rows.append(("d(A_1 u A_2) = 2(2q-1)", _dcut(g, 0, 1, 4, 5), 2 * (2 * q - 1)))
+    else:
+        _, a, x, _ = _gadget_nodes(0)
+        rows += [
+            ("d({x,z}) = d(x)+d(z)", _dcut(g, x, z), g.node_degree(x) + g.node_degree(z)),
+            ("d({a,b}) = d(a)+d(b)", _dcut(g, a, b), g.node_degree(a) + g.node_degree(b)),
+        ]
+    for name, got, want in rows:
+        if got != want:
+            raise ConstructionError(f"degree identity failed: {name}, got {got}, expected {want}")
     for u, v, _ in g.edges:
         gu = u // 4 if u < 4 * p else None
         gv = v // 4 if v < 4 * p else None
@@ -197,25 +210,11 @@ def _validate_construction(labeled: LabeledInstance) -> None:
         )
 
 
-def single_gadget(q: int, k: int, epsilon: Fraction | int | str = 0) -> LabeledInstance:
-    """The 7-node instance; requires k >= 2q+1."""
-    return _build(GadgetParams(q=q, p=1, k=k, epsilon=as_cost(epsilon)))
-
-
-def glued_instance(q: int, p: int, k: int, epsilon: Fraction | int | str = 0) -> LabeledInstance:
-    """p gadget copies sharing the z, b, r axis; requires p >= 2, k >= 2pq+1."""
-    if p < 2:
-        raise InvalidParameterError(f"glued form requires p >= 2, got p={p}; use single_gadget")
-    return _build(GadgetParams(q=q, p=p, k=k, epsilon=as_cost(epsilon)))
-
-
 def generate_instance(
     q: int, p: int, k: int, epsilon: Fraction | int | str = 0
 ) -> LabeledInstance:
-    """Single entry point: p=1 routes to the gadget, p>=2 to the glued form."""
-    if p == 1:
-        return single_gadget(q, k, epsilon)
-    return glued_instance(q, p, k, epsilon)
+    """The family member for (q, p, k, epsilon); p=1 is the 7-node gadget."""
+    return _build(GadgetParams(q=q, p=p, k=k, epsilon=epsilon))
 
 
 def core_masks(params: GadgetParams) -> list[int]:
@@ -247,9 +246,6 @@ class AnalyticCoreOracle:
         self.labeled = labeled
         self._initial = analytic_cores(labeled.params)
 
-    def initial_cores(self) -> list[Cut]:
-        return list(self._initial)
-
     def cores(self, inst: Instance, selected) -> list[Cut]:
         own = self.labeled.instance
         if inst.k != own.k or inst.graph.n != own.graph.n or inst.graph.edges != own.graph.edges:
@@ -257,11 +253,6 @@ class AnalyticCoreOracle:
         if not list(selected):
             return list(self._initial)
         return cores_bruteforce(inst, list(selected))
-
-
-def analytic_initial_cores(params: GadgetParams | LabeledInstance) -> AnalyticCoreOracle:
-    labeled = params if isinstance(params, LabeledInstance) else _build(params)
-    return AnalyticCoreOracle(labeled)
 
 
 @dataclass(frozen=True)
@@ -338,7 +329,6 @@ def detect_generated(inst: Instance) -> LabeledInstance | None:
         return LabeledInstance(
             instance=inst,
             params=params,
-            roles=dict(rebuilt.roles),
             red_links=rebuilt.red_links,
             blue_links=rebuilt.blue_links,
         )

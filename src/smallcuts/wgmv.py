@@ -128,7 +128,8 @@ def phase1(
         if covers(inst, selected):
             break
         cores = oracle.cores(inst, selected)
-        assert cores, "coverage test found a violated cut but the oracle returned no cores"
+        if not cores:
+            raise VerificationError("coverage test found a violated cut but the oracle returned no cores")
         it += 1
         remaining = [i for i in range(len(links)) if not in_added[i]]
         crossings = [sum(1 for s in cores if link_crosses(links[i], s)) for i in remaining]
@@ -142,13 +143,15 @@ def phase1(
             for i, c in zip(remaining, crossings)
             if c > 0
         )
-        assert delta >= 0, "dual increment went negative, loads exceeded costs earlier"
+        if delta < 0:
+            raise VerificationError("dual increment went negative, loads exceeded costs earlier")
         for s in cores:
             y[s] = y.get(s, Fraction(0)) + delta
         newly = []
         for i, c in zip(remaining, crossings):
             load[i] += delta * c
-            assert load[i] <= links[i].cost, "dual load exceeded cost, increment was too large"
+            if load[i] > links[i].cost:
+                raise VerificationError("dual load exceeded cost, increment was too large")
             if load[i] == links[i].cost:
                 newly.append(i)
         newly.sort(key=key)
@@ -185,7 +188,8 @@ def run(
     """Both phases end to end; the result's final set is a minimal cover."""
     added, dual, records = phase1(inst, policy=policy, oracle=oracle)
     final, deleted = reverse_delete(inst, added)
-    assert covers(inst, [inst.links[i] for i in final])
+    if not covers(inst, [inst.links[i] for i in final]):
+        raise VerificationError("reverse delete left a selection that is not a cover")
     return RunResult(
         policy=policy,
         added=tuple(added),
@@ -194,10 +198,6 @@ def run(
         deleted=tuple(deleted),
         final=tuple(final),
     )
-
-
-def dual_objective(dual: DualSolution) -> Fraction:
-    return dual.objective()
 
 
 def dual_feasible(inst: Instance, dual: DualSolution) -> bool:

@@ -1,11 +1,15 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from smallcuts.cli import main
 from smallcuts.serialize import instance_to_text, read_instance
 from smallcuts.tightgen import generate_instance
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _write(tmp_path, name, params=(1, 2, 5), eps=0):
@@ -182,3 +186,15 @@ def test_epsilon_decimal_string_is_exact(tmp_path):
 def test_bound_exceeded_exit_4(tmp_path, monkeypatch):
     monkeypatch.setenv("SCC_ENUM_BOUND", "5")
     assert main(["verify", "--q", "1", "--p", "2", "--k", "5"]) == 4
+
+
+@pytest.mark.parametrize("q,p,k", [(1, 1, 3), (1, 2, 5)])
+def test_verify_output_is_pinned(q, p, k, capsys):
+    assert main(["verify", "--q", str(q), "--p", str(p), "--k", str(k)]) == 0
+    want = (GOLDEN / f"verify_q{q}_p{p}_k{k}.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == want
+
+
+def test_jobs_flag_is_rejected(capsys):
+    assert main(["verify", "--q", "1", "--p", "2", "--k", "5", "--jobs", "1"]) == 3
+    assert main(["experiment", "--k", "5", "--jobs", "2"]) == 3

@@ -14,12 +14,10 @@ from smallcuts.covering import (
     covers_by_enumeration,
     enumeration_bound,
     is_minimal_cover,
-    is_small_cut,
     link_crosses,
-    require_feasible,
     violated_cuts,
 )
-from smallcuts.errors import BoundExceededError, InfeasibleError, InvalidParameterError
+from smallcuts.errors import BoundExceededError, InvalidParameterError
 from smallcuts.multigraph import Cut, MultiGraph, cut_degree
 
 GADGET_EDGES = [(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 4, 2), (4, 5, 1), (5, 6, 2)]
@@ -76,6 +74,18 @@ def test_instance_validation():
     assert inst.n == 3
 
 
+@pytest.mark.parametrize("k", [2.5, True, "2"])
+def test_instance_rejects_non_integer_k(k):
+    with pytest.raises(InvalidParameterError, match="threshold k must be an integer"):
+        Instance(graph=MultiGraph(3, [(0, 1, 1)]), k=k, links=())
+
+
+@pytest.mark.parametrize("u,v", [(True, 2), (0, 1.0), (None, 1)])
+def test_link_rejects_non_integer_endpoints(u, v):
+    with pytest.raises(InvalidParameterError, match="link endpoint must be an integer"):
+        Link(u, v, 1)
+
+
 def test_default_root_prefers_r_label():
     assert gadget_instance().default_root() == 6
     g = MultiGraph(3, [(0, 1, 1)])
@@ -91,10 +101,14 @@ def test_link_crosses():
 
 def test_is_small_cut_gadget():
     inst = gadget_instance()
-    assert is_small_cut(inst, Cut.of([0], 7))  # d=2 < 3
-    assert is_small_cut(inst, Cut.of([0, 1], 7))  # d=1
-    assert not is_small_cut(inst, Cut.of([1], 7))  # d=3
-    assert not is_small_cut(inst, Cut.of([2, 3], 7))  # d=3
+
+    def small(nodes):
+        return cut_degree(inst.graph, Cut.of(nodes, 7)) < inst.k
+
+    assert small([0])  # d=2 < 3
+    assert small([0, 1])  # d=1
+    assert not small([1])  # d=3
+    assert not small([2, 3])  # d=3
 
 
 def _small_cuts_avoiding_root(inst: Instance) -> set[int]:
@@ -201,10 +215,9 @@ def test_is_minimal_cover():
 
 def test_require_feasible():
     inst = gadget_instance()
-    require_feasible(inst)
+    assert covers(inst, inst.links)
     bare = Instance(graph=inst.graph, k=3, links=(inst.links[0],))
-    with pytest.raises(InfeasibleError):
-        require_feasible(bare)
+    assert not covers(bare, bare.links)
 
 
 def test_enumeration_bound_env(monkeypatch):

@@ -22,7 +22,7 @@ from smallcuts.serialize import (
     trace_to_obj,
     write_instance,
 )
-from smallcuts.tightgen import GadgetParams, generate_instance, single_gadget
+from smallcuts.tightgen import GadgetParams, generate_instance
 from smallcuts.wgmv import TiePolicy, run
 
 
@@ -33,7 +33,7 @@ def test_fraction_str_always_num_den():
 
 
 def test_instance_obj_schema():
-    inst = single_gadget(1, 3).instance
+    inst = generate_instance(1, 1, 3).instance
     obj = instance_to_obj(inst)
     assert set(obj) == {"k", "nodes", "edges", "links"}
     assert obj["k"] == 3
@@ -63,7 +63,7 @@ def test_parse_preserves_epsilon_exactly():
 
 
 def _valid_obj():
-    return json.loads(instance_to_text(single_gadget(1, 3).instance))
+    return json.loads(instance_to_text(generate_instance(1, 1, 3).instance))
 
 
 @pytest.mark.parametrize(
@@ -80,6 +80,9 @@ def _valid_obj():
         lambda o: o["links"][0].update(tag="purple"),
         lambda o: o["links"][0].update(u=99),
         lambda o: o.update(k="three"),
+        lambda o: o["edges"][0].update(mult=1.5),
+        lambda o: o["edges"][0].update(u="0"),
+        lambda o: o["links"][0].update(v=True),
     ],
 )
 def test_parse_rejects_malformed(mangle):
@@ -136,7 +139,7 @@ def test_canonical_text_sorted_keys():
 
 
 def test_dot_export():
-    inst = single_gadget(1, 3).instance
+    inst = generate_instance(1, 1, 3).instance
     dot = to_dot(inst)
     assert dot.startswith("graph instance {")
     assert '0 [label="t"]' in dot

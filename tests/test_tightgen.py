@@ -10,14 +10,10 @@ from smallcuts.tightgen import (
     AnalyticCoreOracle,
     GadgetParams,
     analytic_cores,
-    analytic_initial_cores,
-    conventional_roles,
     detect_generated,
     expected_family_slices,
     generate_instance,
-    glued_instance,
     infer_params,
-    single_gadget,
 )
 
 
@@ -39,7 +35,7 @@ def test_params_validation_names_the_inequality():
 
 
 def test_single_gadget_q1_k3_exact_shape():
-    lab = single_gadget(1, 3)
+    lab = generate_instance(1, 1, 3)
     inst = lab.instance
     assert inst.n == 7
     assert inst.graph.labels == ("t", "a", "x", "y", "z", "b", "r")
@@ -63,11 +59,10 @@ def test_single_gadget_q1_k3_exact_shape():
     ]
     assert sum(ln.cost for ln in lab.red()) == 5
     assert sum(ln.cost for ln in lab.blue()) == 3
-    assert lab.roles == {"t1": 0, "a1": 1, "x1": 2, "y1": 3, "z": 4, "b": 5, "r": 6}
 
 
 def test_single_gadget_q2_k5():
-    lab = single_gadget(2, 5)
+    lab = generate_instance(2, 1, 5)
     g = lab.instance.graph
     assert g.multiplicity(0, 2) == 1  # tx now present
     assert g.multiplicity(1, 6) == 1  # ar now present
@@ -76,13 +71,8 @@ def test_single_gadget_q2_k5():
     assert cut_degree(g, Cut.of([0, 1], 7)) == 3  # d(A) = 2q-1
 
 
-def test_glued_required_p():
-    with pytest.raises(InvalidParameterError, match="p >= 2"):
-        glued_instance(1, 1, 3)
-
-
 def test_glued_1_2_5_shape():
-    lab = glued_instance(1, 2, 5)
+    lab = generate_instance(1, 2, 5)
     inst = lab.instance
     assert inst.n == 11
     assert inst.graph.labels[:4] == ("t1", "a1", "x1", "y1")
@@ -101,10 +91,10 @@ def test_glued_1_2_5_shape():
 
 
 def test_glued_degree_spot_checks():
-    g19 = glued_instance(1, 4, 9).instance.graph
+    g19 = generate_instance(1, 4, 9).instance.graph
     assert g19.n == 19
     assert g19.node_degree(18) == 5  # d(r) = k-p
-    g29 = glued_instance(2, 2, 9).instance.graph
+    g29 = generate_instance(2, 2, 9).instance.graph
     assert g29.node_degree(9) == 9  # d(b) = 2k-2pq-1
 
 
@@ -116,15 +106,8 @@ def test_epsilon_variant_costs():
     assert sum(ln.cost for ln in blue) == 4 + Fraction(3, 100)
 
 
-def test_generate_instance_routes_p1():
-    a = generate_instance(1, 1, 3)
-    b = single_gadget(1, 3)
-    assert a.instance.graph.edges == b.instance.graph.edges
-    assert a.instance.links == b.instance.links
-
-
 def test_construction_validation_catches_bad_multiplicity():
-    lab = single_gadget(1, 3)
+    lab = generate_instance(1, 1, 3)
     from smallcuts.tightgen import _validate_construction
 
     bad_edges = [(u, v, m + (1 if (u, v) == (5, 6) else 0)) for u, v, m in lab.instance.graph.edges]
@@ -142,16 +125,14 @@ def test_analytic_cores_match_bruteforce(q, p, k):
 
 
 def test_analytic_core_oracle_behavior():
-    lab = glued_instance(1, 2, 5)
-    oracle = analytic_initial_cores(lab.params)
-    assert isinstance(oracle, AnalyticCoreOracle)
-    assert oracle.initial_cores() == analytic_cores(lab.params)
-    inst = oracle.labeled.instance
-    assert oracle.cores(inst, []) == oracle.initial_cores()
+    lab = generate_instance(1, 2, 5)
+    oracle = AnalyticCoreOracle(lab)
+    inst = lab.instance
+    assert oracle.cores(inst, []) == analytic_cores(lab.params)
     # nonempty selections delegate to exhaustive discovery
     one = [inst.links[3]]
     assert oracle.cores(inst, one) == cores_bruteforce(inst, one)
-    other = single_gadget(1, 3).instance
+    other = generate_instance(1, 1, 3).instance
     with pytest.raises(InvalidParameterError):
         oracle.cores(other, [])
 
@@ -166,13 +147,6 @@ def test_expected_family_slices_counts():
     s3 = expected_family_slices(GadgetParams(q=1, p=3, k=7))
     assert len(s3.fr_minus_frc) == 16
     assert len(s3.cores) == 5
-
-
-def test_conventional_roles():
-    roles = conventional_roles(2)
-    assert roles["t2"] == 4
-    assert roles["r"] == 10
-    assert len(roles) == 11
 
 
 def test_infer_and_detect_roundtrip():
@@ -193,7 +167,7 @@ def test_detect_rejects_foreign_and_mutated():
     foreign = Instance(graph=g, k=2, links=(Link(0, 3, 1),))
     assert detect_generated(foreign) is None
 
-    lab = glued_instance(1, 2, 5)
+    lab = generate_instance(1, 2, 5)
     edges = [(u, v, m + (1 if (u, v) == (0, 1) else 0)) for u, v, m in lab.instance.graph.edges]
     mutated_graph = MultiGraph(11, edges, labels=lab.instance.graph.labels)
     mutated = dataclasses.replace(lab.instance, graph=mutated_graph)

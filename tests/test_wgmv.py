@@ -1,8 +1,14 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import smallcuts
 
 from smallcuts.covering import Instance, Link, covers, is_minimal_cover
 from smallcuts.errors import InfeasibleError, VerificationError
@@ -12,7 +18,6 @@ from smallcuts.wgmv import (
     TiePolicy,
     cost_of,
     dual_feasible,
-    dual_objective,
     phase1,
     reverse_delete,
     run,
@@ -105,6 +110,44 @@ def test_phase1_infeasible():
         phase1(crippled)
 
 
+class _NoCores:
+    def cores(self, inst, selected):
+        return []
+
+
+def test_phase1_rejects_oracle_without_cores():
+    with pytest.raises(VerificationError, match="oracle returned no cores"):
+        phase1(gadget_instance(), oracle=_NoCores())
+
+
+def test_phase1_rejects_oracle_without_cores_under_optimize():
+    # the invariant must hold without asserts, which python -O strips
+    code = """
+from smallcuts.covering import Instance, Link
+from smallcuts.errors import VerificationError
+from smallcuts.multigraph import MultiGraph
+from smallcuts.wgmv import phase1
+
+class NoCores:
+    def cores(self, inst, selected):
+        return []
+
+try:
+    phase1(Instance(graph=MultiGraph(2, []), k=1, links=(Link(0, 1, 1),)), oracle=NoCores())
+except VerificationError:
+    raise SystemExit(0)
+"""
+    src = str(Path(smallcuts.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_zero_cost_link_tight_at_delta_zero():
     g = MultiGraph(2, [(0, 1, 1)])
     inst = Instance(graph=g, k=2, links=(Link(0, 1, 0),))
@@ -128,7 +171,7 @@ def test_dual_feasible_checks():
     inst = gadget_instance()
     good = DualSolution({Cut.of([0], 7): Fraction(1)})
     assert dual_feasible(inst, good)
-    assert dual_objective(good) == 1
+    assert good.objective() == 1
     negative = DualSolution({Cut.of([0], 7): Fraction(-1)})
     assert not dual_feasible(inst, negative)
     overloaded = DualSolution({Cut.of([0], 7): Fraction(5)})
