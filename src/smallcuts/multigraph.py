@@ -25,6 +25,9 @@ class Cut:
     n: int
 
     def __post_init__(self) -> None:
+        # checked inline, not with require_int: a Cut is built per violated cut
+        if type(self.mask) is not int or type(self.n) is not int:
+            raise InvalidParameterError(f"cut mask and node count must be integers, got {self.mask!r}, {self.n!r}")
         if self.n < 2:
             raise InvalidParameterError("cuts need an ambient graph with at least 2 nodes")
         if not 0 < self.mask < (1 << self.n) - 1:
@@ -36,6 +39,8 @@ class Cut:
     def of(cls, nodes: Iterable[int], n: int) -> "Cut":
         mask = 0
         for v in nodes:
+            if type(v) is not int:
+                raise InvalidParameterError(f"node ids must be integers, got {v!r}")
             if not 0 <= v < n:
                 raise InvalidParameterError(f"node {v} out of range [0, {n})")
             mask |= 1 << v
@@ -75,6 +80,8 @@ class MultiGraph:
         edges: Iterable[tuple[int, int, int]],
         labels: Sequence[str] | None = None,
     ) -> None:
+        if type(n) is not int:
+            raise InvalidParameterError(f"node count must be an integer, got n={n!r}")
         if n < 1:
             raise InvalidParameterError(f"graph needs at least 1 node, got n={n}")
         folded: dict[tuple[int, int], int] = {}
@@ -161,6 +168,30 @@ def _component_mask(g: MultiGraph, start: int) -> int:
     return seen
 
 
+def _min_cut_phase(w: list[list[int]], active: list[int], merged: list[int]) -> tuple[int, int]:
+    """One maximum-adjacency phase: returns the cut-of-the-phase value and
+    the mask of the last supernode, then merges it into the one before."""
+    start = active[0]
+    in_a = {start}
+    weight = {v: w[start][v] for v in active if v != start}
+    last, prev = start, start
+    while len(in_a) < len(active):
+        v = max(weight, key=lambda x: (weight[x], -x))
+        prev, last = last, v
+        in_a.add(v)
+        phase_weight = weight.pop(v)
+        for u in weight:
+            weight[u] += w[v][u]
+    mask = merged[last]
+    merged[prev] |= merged[last]
+    active.remove(last)
+    for u in active:
+        if u != prev:
+            w[prev][u] += w[last][u]
+            w[u][prev] = w[prev][u]
+    return phase_weight, mask
+
+
 def global_min_cut(g: MultiGraph) -> tuple[int, Cut]:
     """Exact global minimum cut by Stoer-Wagner over multiplicities.
 
@@ -183,30 +214,11 @@ def global_min_cut(g: MultiGraph) -> tuple[int, Cut]:
         w[v][u] = m
     merged = [1 << i for i in range(n)]  # original nodes absorbed into supernode i
     active = list(range(n))
-    best_value: int | None = None
-    best_mask = 0
+    best_value, best_mask = _min_cut_phase(w, active, merged)
     while len(active) > 1:
-        start = active[0]
-        in_a = {start}
-        weight = {v: w[start][v] for v in active if v != start}
-        last, prev = start, start
-        while len(in_a) < len(active):
-            v = max(weight, key=lambda x: (weight[x], -x))
-            prev, last = last, v
-            in_a.add(v)
-            phase_weight = weight.pop(v)
-            for u in weight:
-                weight[u] += w[v][u]
-        if best_value is None or phase_weight < best_value:
-            best_value = phase_weight
-            best_mask = merged[last]
-        merged[prev] |= merged[last]
-        active.remove(last)
-        for u in active:
-            if u != prev:
-                w[prev][u] += w[last][u]
-                w[u][prev] = w[prev][u]
-    assert best_value is not None
+        value, mask = _min_cut_phase(w, active, merged)
+        if value < best_value:
+            best_value, best_mask = value, mask
     if not best_mask & 1:
         best_mask ^= full
     return best_value, Cut(best_mask, n)

@@ -1,8 +1,9 @@
 """Ground-truth machinery: exhaustive optima, lemma verifiers, gap runs.
 
-Everything here recomputes from first principles; nothing trusts the
-generator's bookkeeping.  Verifiers return reports that name each check, so
-a regression points at the exact identity or cut that broke.
+The predictions (node sets, link indices, degree identities) come from
+`tightgen`; every measurement is recomputed from the graph, so a build that
+drifts from its own layout fails here.  Verifiers return reports that name
+each check, so a regression points at the exact identity or cut that broke.
 """
 
 from __future__ import annotations
@@ -26,9 +27,13 @@ from .tightgen import (
     AnalyticCoreOracle,
     GadgetParams,
     LabeledInstance,
+    a_union,
+    axis,
     degree_identities,
+    degree_sums,
     expected_family_slices,
     generate_instance,
+    unique_covers,
 )
 from .wgmv import RunResult, TiePolicy, dual_feasible, run
 
@@ -122,9 +127,7 @@ def _fmt_cuts(cuts: Sequence[Cut], inst: Instance) -> str:
     return "[" + ", ".join(_fmt_cut(s, inst) for s in cuts) + "]"
 
 
-def _degree_checks(labeled: LabeledInstance) -> list[Check]:
-    """The degree identities quoted in the core characterizations, rechecked."""
-    rows = degree_identities(labeled)
+def _row_checks(rows: list[tuple[str, int, int]]) -> list[Check]:
     return [Check(name, got == want, f"got {got}, want {want}") for name, got, want in rows]
 
 
@@ -132,32 +135,15 @@ def _non_membership_checks(labeled: LabeledInstance) -> list[Check]:
     """Degree facts the characterizations use to exclude cuts from the family."""
     params = labeled.params
     q, p, k = params.q, params.p, params.k
-    inst = labeled.instance
-    g = inst.graph
-    n = g.n
-    z, b = 4 * p, 4 * p + 1
+    g = labeled.instance.graph
+    _, b, _ = axis(p)
 
-    out: list[Check] = []
-    out.append(
-        Check("d(b) >= k", g.node_degree(b) >= k, f"d(b)={g.node_degree(b)}, k={k}")
-    )
-    for i in range(p):
-        a = 4 * i + 1
-        s = f"_{i + 1}" if p > 1 else ""
-        got = cut_degree(g, Cut.of((a, b), n))
-        want = g.node_degree(a) + g.node_degree(b)
-        out.append(Check(f"d({{a{s},b}}) = d(a{s})+d(b)", got == want, f"got {got}, want {want}"))
-    if p == 1:
-        got = cut_degree(g, Cut.of((2, z), n))
-        want = g.node_degree(2) + g.node_degree(z)
-        out.append(Check("d({x,z}) = d(x)+d(z)", got == want, f"got {got}, want {want}"))
+    out = [Check("d(b) >= k", g.node_degree(b) >= k, f"d(b)={g.node_degree(b)}, k={k}")]
+    out += _row_checks(degree_sums(labeled))
     bad = []
     for size in range(1, p + 1):
         for subset in itertools.combinations(range(p), size):
-            mask = 0
-            for i in subset:
-                mask |= 0b11 << (4 * i)
-            d = cut_degree(g, Cut(mask, n))
+            d = cut_degree(g, a_union(params, subset))
             if d != size * (2 * q - 1) or d >= k:
                 bad.append((subset, d))
     out.append(
@@ -181,9 +167,7 @@ def verify_cores_lemma(
     if labeled is None:
         labeled = generate_instance(params.q, params.p, params.k, params.epsilon)
     inst = labeled.instance
-    n = inst.n
-    checks: list[Check] = []
-    checks += _degree_checks(labeled)
+    checks = _row_checks(degree_identities(labeled))
 
     expected = expected_family_slices(params)
     got_cores = cores_bruteforce(inst, ())
@@ -196,9 +180,7 @@ def verify_cores_lemma(
         )
     )
 
-    c_mask = 1 << (4 * params.p)
-    for i in range(params.p):
-        c_mask |= 0b11 << (4 * i + 2)
+    c_mask = expected.c.mask
     fr = violated_cuts(inst, ())
     got_slice = sorted(
         (s for s in fr if s.mask & c_mask != c_mask), key=lambda s: (s.size(), s.mask)
@@ -214,7 +196,7 @@ def verify_cores_lemma(
     checks.append(Check("small cuts avoiding r and not containing C", not missing and not extra, detail))
 
     if params.p >= 2:
-        union = Cut(0b11 | 0b11 << 4, n)
+        union = a_union(params, (0, 1))
         checks.append(
             Check(
                 "A_1 u A_2 appears in the enumerated family",
@@ -227,17 +209,6 @@ def verify_cores_lemma(
     return VerifierReport(title, tuple(checks))
 
 
-def _unique_cover_check(
-    inst: Instance,
-    name: str,
-    cut: Cut,
-    pool: Sequence[int],
-    expect: int,
-) -> Check:
-    crossing = [i for i in pool if link_crosses(inst.links[i], cut)]
-    return Check(name, crossing == [expect], f"crossing links {crossing}, expected [{expect}]")
-
-
 def verify_feasibility_lemma(
     params: GadgetParams, labeled: LabeledInstance | None = None
 ) -> VerifierReport:
@@ -245,8 +216,6 @@ def verify_feasibility_lemma(
     if labeled is None:
         labeled = generate_instance(params.q, params.p, params.k, params.epsilon)
     inst = labeled.instance
-    p = params.p
-    n = inst.n
     red = labeled.red()
     blue = labeled.blue()
     checks: list[Check] = []
@@ -265,31 +234,10 @@ def verify_feasibility_lemma(
     checks.append(Check("red is inclusion-minimal", is_minimal_cover(inst, red)))
     checks.append(Check("blue is inclusion-minimal", is_minimal_cover(inst, blue)))
 
-    r = 4 * p + 2
-    for i in range(p):
-        t = 4 * i
-        s = f"_{i + 1}" if p > 1 else ""
-        t_sing = Cut.of((t,), n)
-        x_cut = Cut.of((t, t + 1, t + 2), n)
-        y_cut = Cut.of((t, t + 1, t + 2, t + 3), n)
-        tx_i, ay_i, yr_i = p + 1 + 3 * i, p + 2 + 3 * i, p + 3 + 3 * i
-        checks.append(
-            _unique_cover_check(inst, f"only red link covering {{t{s}}} is t{s}x{s}", t_sing, labeled.red_links, tx_i)
-        )
-        checks.append(
-            _unique_cover_check(inst, f"only red link covering X{s} is a{s}y{s}", x_cut, labeled.red_links, ay_i)
-        )
-        checks.append(
-            _unique_cover_check(inst, f"only red link covering Y{s} is y{s}r", y_cut, labeled.red_links, yr_i)
-        )
-        checks.append(
-            _unique_cover_check(inst, f"only blue link covering {{t{s}}} is t{s}b", t_sing, labeled.blue_links, i)
-        )
-    checks.append(
-        _unique_cover_check(
-            inst, "only blue link covering the complement of {r} is rz", Cut.of((r,), n), labeled.blue_links, p
-        )
-    )
+    pools = {"red": labeled.red_links, "blue": labeled.blue_links}
+    for name, cut, color, expect in unique_covers(params):
+        crossing = [i for i in pools[color] if link_crosses(inst.links[i], cut)]
+        checks.append(Check(name, crossing == [expect], f"crossing links {crossing}, expected [{expect}]"))
     title = f"feasibility lemma at q={params.q}, p={params.p}, k={params.k}"
     return VerifierReport(title, tuple(checks))
 

@@ -22,9 +22,6 @@ from .covering import Instance, Link, as_cost, cores_bruteforce
 from .errors import ConstructionError, InvalidParameterError, require_int
 from .multigraph import Cut, MultiGraph, cut_degree
 
-EPSILON_DEFAULT = Fraction(1, 100)
-
-
 @dataclass(frozen=True)
 class GadgetParams:
     """Parameters (q, p, k, epsilon); p=1 is the single gadget."""
@@ -73,7 +70,7 @@ class LabeledInstance:
         return [self.instance.links[i] for i in self.blue_links]
 
 
-def _axis(p: int) -> tuple[int, int, int]:
+def axis(p: int) -> tuple[int, int, int]:
     return 4 * p, 4 * p + 1, 4 * p + 2  # z, b, r
 
 
@@ -81,9 +78,30 @@ def _gadget_nodes(i: int) -> tuple[int, int, int, int]:
     return 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3  # t, a, x, y
 
 
+def _suffix(p: int, i: int) -> str:
+    return f"_{i + 1}" if p > 1 else ""
+
+
+def _gadget_sets(params: GadgetParams, i: int) -> tuple[Cut, ...]:
+    """{t_i}, A_i = {t_i,a_i}, X_i = A_i+x_i and Y_i = X_i+y_i."""
+    nodes = _gadget_nodes(i)
+    return tuple(Cut.of(nodes[:size], params.n) for size in (1, 2, 3, 4))
+
+
+def a_union(params: GadgetParams, subset: tuple[int, ...]) -> Cut:
+    """A_I, the union of the A_i over the 0-based gadget indices in I."""
+    return Cut.of([v for i in subset for v in _gadget_nodes(i)[:2]], params.n)
+
+
+def _c_set(params: GadgetParams) -> Cut:
+    """C = {z} with every x_i and y_i."""
+    z, _, _ = axis(params.p)
+    return Cut.of([z] + [v for i in range(params.p) for v in _gadget_nodes(i)[2:]], params.n)
+
+
 def _build(params: GadgetParams) -> LabeledInstance:
     q, p, k, eps = params.q, params.p, params.k, params.epsilon
-    z, b, r = _axis(p)
+    z, b, r = axis(p)
     n = params.n
 
     edges: list[tuple[int, int, int]] = []
@@ -108,7 +126,7 @@ def _build(params: GadgetParams) -> LabeledInstance:
         labels += ["z", "b", "r"]
     graph = MultiGraph(n, edges, labels=labels)
 
-    blue = [Link(4 * i, b, 1 + eps, tag="blue") for i in range(p)]
+    blue = [Link(_gadget_nodes(i)[0], b, 1 + eps, tag="blue") for i in range(p)]
     blue.append(Link(r, z, 2 + eps, tag="blue"))
     red: list[Link] = []
     for i in range(p):
@@ -126,6 +144,27 @@ def _build(params: GadgetParams) -> LabeledInstance:
     return labeled
 
 
+def unique_covers(params: GadgetParams) -> list[tuple[str, Cut, str, int]]:
+    """Rows (name, cut, color, link index) for the cuts exactly one link of
+    that color crosses.  The indices follow `_build`'s link order: blue t_i b
+    at i and rz at p, then red t_i x_i, a_i y_i, y_i r from p+1+3i."""
+    p = params.p
+    _, _, r = axis(p)
+    rows = []
+    for i in range(p):
+        s = _suffix(p, i)
+        t_set, _, x_set, y_set = _gadget_sets(params, i)
+        tx = p + 1 + 3 * i
+        rows += [
+            (f"only red link covering {{t{s}}} is t{s}x{s}", t_set, "red", tx),
+            (f"only red link covering X{s} is a{s}y{s}", x_set, "red", tx + 1),
+            (f"only red link covering Y{s} is y{s}r", y_set, "red", tx + 2),
+            (f"only blue link covering {{t{s}}} is t{s}b", t_set, "blue", i),
+        ]
+    rows.append(("only blue link covering the complement of {r} is rz", Cut.of((r,), params.n), "blue", p))
+    return rows
+
+
 def _dcut(g: MultiGraph, *nodes: int) -> int:
     return cut_degree(g, Cut.of(nodes, g.n))
 
@@ -139,26 +178,25 @@ def degree_identities(labeled: LabeledInstance) -> list[tuple[str, int, int]]:
     params = labeled.params
     q, p, k = params.q, params.p, params.k
     g = labeled.instance.graph
-    z, b, r = _axis(p)
+    z, b, r = axis(p)
     rows = [
         ("d(r) = k-p", g.node_degree(r), k - p),
         ("d(b) = 2k-2pq-1", g.node_degree(b), 2 * k - 2 * p * q - 1),
     ]
-    c_nodes = [z]
     for i in range(p):
         t, a, x, y = _gadget_nodes(i)
-        s = f"_{i + 1}" if p > 1 else ""
+        _, a_set, x_set, y_set = _gadget_sets(params, i)
+        s = _suffix(p, i)
         rows += [
             (f"d(t{s}) = k-1", g.node_degree(t), k - 1),
             (f"d(a{s}) = k", g.node_degree(a), k),
             (f"d(x{s}) = k", g.node_degree(x), k),
             (f"d(y{s}) = 2k-2q", g.node_degree(y), 2 * k - 2 * q),
-            (f"d(A{s}) = 2q-1", _dcut(g, t, a), 2 * q - 1),
-            (f"d(X{s}) = k-1", _dcut(g, t, a, x), k - 1),
-            (f"d(Y{s}) = k-1", _dcut(g, t, a, x, y), k - 1),
+            (f"d(A{s}) = 2q-1", cut_degree(g, a_set), 2 * q - 1),
+            (f"d(X{s}) = k-1", cut_degree(g, x_set), k - 1),
+            (f"d(Y{s}) = k-1", cut_degree(g, y_set), k - 1),
         ]
-        c_nodes += [x, y]
-    rows.append(("d(C) = k-1", _dcut(g, *c_nodes), k - 1))
+    rows.append(("d(C) = k-1", cut_degree(g, _c_set(params)), k - 1))
     if p == 1:
         _, _, x, y = _gadget_nodes(0)
         rows += [
@@ -169,28 +207,41 @@ def degree_identities(labeled: LabeledInstance) -> list[tuple[str, int, int]]:
     return rows
 
 
+def degree_sums(labeled: LabeledInstance) -> list[tuple[str, int, int]]:
+    """The additive degrees that keep {a_i,b} and, at p=1, {x,z} out of the
+    small-cut family, as (name, got, want) rows like `degree_identities`."""
+    p = labeled.params.p
+    g = labeled.instance.graph
+    z, b, _ = axis(p)
+    rows = []
+    for i in range(p):
+        _, a, _, _ = _gadget_nodes(i)
+        s = _suffix(p, i)
+        rows.append((f"d({{a{s},b}}) = d(a{s})+d(b)", _dcut(g, a, b), g.node_degree(a) + g.node_degree(b)))
+    if p == 1:
+        _, _, x, _ = _gadget_nodes(0)
+        rows.append(("d({x,z}) = d(x)+d(z)", _dcut(g, x, z), g.node_degree(x) + g.node_degree(z)))
+    return rows
+
+
 def _validate_construction(labeled: LabeledInstance) -> None:
     """Exact degree battery; raises ConstructionError naming the failure.
 
-    The quoted identities come first, then the ones only the build relies on.
+    The quoted identities come first, then the ones only the build relies
+    on, then the additive degrees.
     """
     params = labeled.params
     q, p, k = params.q, params.p, params.k
     g = labeled.instance.graph
-    z, b, _ = _axis(p)
+    z, _, _ = axis(p)
     rows = degree_identities(labeled)
     if p >= 2:
         rows.append(("d(z) = (p+1)k-2pq-1", g.node_degree(z), (p + 1) * k - 2 * p * q - 1))
         for i in range(p):
             _, _, x, y = _gadget_nodes(i)
             rows.append((f"d({{x_{i + 1},y_{i + 1}}}) = k", _dcut(g, x, y), k))
-        rows.append(("d(A_1 u A_2) = 2(2q-1)", _dcut(g, 0, 1, 4, 5), 2 * (2 * q - 1)))
-    else:
-        _, a, x, _ = _gadget_nodes(0)
-        rows += [
-            ("d({x,z}) = d(x)+d(z)", _dcut(g, x, z), g.node_degree(x) + g.node_degree(z)),
-            ("d({a,b}) = d(a)+d(b)", _dcut(g, a, b), g.node_degree(a) + g.node_degree(b)),
-        ]
+        rows.append(("d(A_1 u A_2) = 2(2q-1)", cut_degree(g, a_union(params, (0, 1))), 2 * (2 * q - 1)))
+    rows += degree_sums(labeled)
     for name, got, want in rows:
         if got != want:
             raise ConstructionError(f"degree identity failed: {name}, got {got}, expected {want}")
@@ -217,20 +268,12 @@ def generate_instance(
     return _build(GadgetParams(q=q, p=p, k=k, epsilon=epsilon))
 
 
-def core_masks(params: GadgetParams) -> list[int]:
-    p = params.p
-    z, _, r = _axis(p)
-    c_mask = 1 << z
-    for i in range(p):
-        c_mask |= 1 << (4 * i + 2) | 1 << (4 * i + 3)
-    masks = [1 << (4 * i) for i in range(p)] + [1 << r, c_mask]
-    return sorted(masks)
-
-
 def analytic_cores(params: GadgetParams) -> list[Cut]:
     """The p+2 initial cores {t_1},...,{t_p},{r},C without any enumeration."""
-    n = params.n
-    return [Cut(m, n) for m in core_masks(params)]
+    _, _, r = axis(params.p)
+    cores = [_gadget_sets(params, i)[0] for i in range(params.p)]
+    cores += [Cut.of((r,), params.n), _c_set(params)]
+    return sorted(cores, key=lambda s: s.mask)
 
 
 class AnalyticCoreOracle:
@@ -263,27 +306,22 @@ class FamilySlices:
     fr_minus_frc: the small cuts avoiding r that do not contain all of C,
     namely the singletons {t_i}, every nonempty union of the A_i, and each
     X_i and Y_i.
+    c: the core C = {z} with every x_i and y_i.
     """
 
     cores: tuple[Cut, ...]
     fr_minus_frc: tuple[Cut, ...]
+    c: Cut
 
 
 def expected_family_slices(params: GadgetParams) -> FamilySlices:
-    p, n = params.p, params.n
-    a_masks = [0b11 << (4 * i) for i in range(p)]
-    masks: list[int] = [1 << (4 * i) for i in range(p)]
-    for size in range(1, p + 1):
-        for subset in combinations(range(p), size):
-            union = 0
-            for i in subset:
-                union |= a_masks[i]
-            masks.append(union)
-    masks += [0b111 << (4 * i) for i in range(p)]
-    masks += [0b1111 << (4 * i) for i in range(p)]
-    cuts = [Cut(m, n) for m in masks]
+    p = params.p
+    cuts = [a_union(params, subset) for size in range(1, p + 1) for subset in combinations(range(p), size)]
+    for i in range(p):
+        t_set, _, x_set, y_set = _gadget_sets(params, i)
+        cuts += [t_set, x_set, y_set]
     cuts.sort(key=lambda s: (s.size(), s.mask))
-    return FamilySlices(cores=tuple(analytic_cores(params)), fr_minus_frc=tuple(cuts))
+    return FamilySlices(tuple(analytic_cores(params)), tuple(cuts), _c_set(params))
 
 
 def infer_params(inst: Instance) -> GadgetParams | None:
@@ -296,11 +334,12 @@ def infer_params(inst: Instance) -> GadgetParams | None:
     if n < 7 or n % 4 != 3:
         return None
     p = (n - 3) // 4
-    q = inst.k - inst.graph.multiplicity(0, 1)
-    b = 4 * p + 1
+    t, a, _, _ = _gadget_nodes(0)
+    _, b, _ = axis(p)
+    q = inst.k - inst.graph.multiplicity(t, a)
     eps = None
     for ln in inst.links:
-        if ln.endpoints() == (0, b):
+        if ln.endpoints() == (t, b):
             eps = ln.cost - 1
             break
     if eps is None or eps < 0:

@@ -88,9 +88,6 @@ class RunResult:
     deleted: tuple[int, ...]
     final: tuple[int, ...]
 
-    def final_links(self, inst: Instance) -> list[Link]:
-        return [inst.links[i] for i in self.final]
-
     def final_cost(self, inst: Instance) -> Fraction:
         return cost_of(inst, self.final)
 

@@ -203,7 +203,7 @@ def test_criterion_09_property_suite():
         )
         inst = Instance(graph=g, k=rng.randint(1, 6), links=links)
         res = run(inst, policy=policies[trial % len(policies)])
-        sel = res.final_links(inst)
+        sel = [inst.links[i] for i in res.final]
         opt, _ = brute_force_optimum(inst)
         ok = (
             covers(inst, sel)

@@ -195,6 +195,14 @@ def test_verify_output_is_pinned(q, p, k, capsys):
     assert capsys.readouterr().out.encode() == want
 
 
+@pytest.mark.parametrize("q,p,k", [(1, 1, 3), (1, 2, 5)])
+def test_verify_report_is_pinned(q, p, k, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--q", str(q), "--p", str(p), "--k", str(k), "--out", str(out)]) == 0
+    want = (GOLDEN / f"verify_q{q}_p{p}_k{k}.json").read_bytes()
+    assert out.read_bytes() == want
+
+
 def test_jobs_flag_is_rejected(capsys):
     assert main(["verify", "--q", "1", "--p", "2", "--k", "5", "--jobs", "1"]) == 3
     assert main(["experiment", "--k", "5", "--jobs", "2"]) == 3

@@ -25,6 +25,12 @@ def test_cut_rejects_degenerate_masks():
         Cut(0b1111, 4)
     with pytest.raises(InvalidParameterError):
         Cut(1, 1)
+    with pytest.raises(InvalidParameterError, match="must be integers"):
+        Cut(True, 3)
+    with pytest.raises(InvalidParameterError, match="must be integers"):
+        Cut(5, 3.0)
+    with pytest.raises(InvalidParameterError, match="must be integers"):
+        Cut.of([True], 3)
 
 
 def test_cut_of_roundtrip():
@@ -69,6 +75,12 @@ def test_multigraph_drops_zero_keeps_order_rejects_bad():
 def test_multigraph_rejects_non_integer(edge):
     with pytest.raises(InvalidParameterError, match="must be integers"):
         MultiGraph(3, [edge])
+
+
+@pytest.mark.parametrize("n", [True, 2.5])
+def test_multigraph_rejects_non_integer_node_count(n):
+    with pytest.raises(InvalidParameterError, match="node count must be an integer"):
+        MultiGraph(n, [])
 
 
 def test_labels():

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import os
 import random
@@ -87,8 +88,9 @@ def test_run_adversarial_vs_helpful():
     assert hlp.final == (0, 1)
     assert hlp.final_cost(inst) == 3
     for res in (adv, hlp):
-        assert covers(inst, res.final_links(inst))
-        assert is_minimal_cover(inst, res.final_links(inst))
+        sel = [inst.links[i] for i in res.final]
+        assert covers(inst, sel)
+        assert is_minimal_cover(inst, sel)
         assert dual_feasible(inst, res.dual)
         assert res.dual.objective() == 3
 
@@ -148,6 +150,18 @@ except VerificationError:
     assert proc.returncode == 0, proc.stderr
 
 
+def test_no_assert_statements_in_package():
+    # python -O strips asserts, so every invariant in the package must raise
+    package = Path(smallcuts.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_zero_cost_link_tight_at_delta_zero():
     g = MultiGraph(2, [(0, 1, 1)])
     inst = Instance(graph=g, k=2, links=(Link(0, 1, 0),))
@@ -205,7 +219,7 @@ def test_random_instances_respect_weak_duality_and_bound():
         )
         inst = Instance(graph=g, k=rng.randint(1, 5), links=links)
         res = run(inst, policy=rng.choice(policies))
-        sel = res.final_links(inst)
+        sel = [inst.links[i] for i in res.final]
         assert covers(inst, sel)
         assert is_minimal_cover(inst, sel)
         assert dual_feasible(inst, res.dual)
