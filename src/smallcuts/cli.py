@@ -8,6 +8,7 @@ bound exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Sequence
 
@@ -79,7 +80,10 @@ def _add_policy(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: argparse objects hold reference
+    cycles, so a fresh parser per call would leave garbage behind."""
     parser = _Parser(prog="smallcuts", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

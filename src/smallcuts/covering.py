@@ -256,15 +256,19 @@ class CoreOracle(Protocol):
 
 
 def cores_bruteforce(inst: Instance, selected: Sequence[Link] = ()) -> list[Cut]:
-    """Inclusion-minimal violated cuts by exhaustive enumeration.
+    """Inclusion-minimal violated cuts by exhaustive enumeration."""
+    return minimal_cuts(inst, violated_cuts(inst, selected))
 
-    Representatives from violated_cuts are rejoined with their complements
+
+def minimal_cuts(inst: Instance, reps: Iterable[Cut]) -> list[Cut]:
+    """Inclusion-minimal sets among the cuts `reps` and their complements.
+
+    Each representative from violated_cuts is rejoined with its complement
     before the minimality sweep, since a cut and its complement are violated
     together but minimality is a property of node sets.  The returned cores
     are pairwise disjoint; that is checked, not assumed.
     """
     full = (1 << inst.n) - 1
-    reps = violated_cuts(inst, selected)
     family = set()
     for s in reps:
         family.add(s.mask)

@@ -9,16 +9,17 @@ each check, so a regression points at the exact identity or cut that broke.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .covering import (
     Instance,
-    cores_bruteforce,
     covers,
     is_minimal_cover,
     link_crosses,
+    minimal_cuts,
     violated_cuts,
 )
 from .errors import BoundExceededError, InfeasibleError, VerificationError
@@ -83,14 +84,18 @@ class SweepRow:
 
 
 def brute_force_optimum(inst: Instance) -> tuple[Fraction, tuple[int, ...]]:
-    """Exact minimum-cost cover by subset enumeration.
+    """Exact minimum-cost cover by lexicographic branch-and-bound.
 
     Deterministic tie break: cheapest cost, then fewest links, then
-    lexicographically smallest index tuple.  Enumeration runs in increasing
-    subset size; once the sum of the `size` smallest link costs cannot beat
+    lexicographically smallest index tuple.  Costs are scaled once by the
+    LCM of their denominators, so the search adds plain ints.  Sizes run in
+    increasing order; once the sum of the `size` smallest costs cannot beat
     the incumbent, no larger subset can either, and the search stops.
-    Within a size, only a strictly cheaper subset replaces the incumbent,
-    so the first one found in lexicographic order wins ties.
+    Within a size, combinations are walked depth first in lexicographic
+    order, and a branch is cut when its cheapest completion is not strictly
+    cheaper than the incumbent.  So `covers` is asked about exactly the
+    combinations that would beat the incumbent, in lexicographic order, and
+    the first one found wins ties.
     """
     links = inst.links
     m = len(links)
@@ -100,23 +105,52 @@ def brute_force_optimum(inst: Instance) -> tuple[Fraction, tuple[int, ...]]:
         return Fraction(0), ()
     if not covers(inst, links):
         raise InfeasibleError("no feasible cover exists: all links together leave a small cut")
-    prefix = [Fraction(0)] + list(itertools.accumulate(sorted(ln.cost for ln in links)))
-    best: tuple[Fraction, tuple[int, ...]] | None = None
+    scale = math.lcm(*(ln.cost.denominator for ln in links))
+    costs = [ln.cost.numerator * (scale // ln.cost.denominator) for ln in links]
+    # cheapest[i][r]: the sum of the r smallest costs among links i..m-1.
+    cheapest = [[0, *itertools.accumulate(sorted(costs[i:]))] for i in range(m + 1)]
+    # Every subset costs at most sum(costs), so this incumbent loses to any.
+    best: tuple[int, tuple[int, ...]] = (sum(costs) + 1, ())
     for size in range(1, m + 1):
-        if best is not None and prefix[size] >= best[0]:
+        if cheapest[0][size] >= best[0]:
             break
-        for combo in itertools.combinations(range(m), size):
-            cost = sum((links[i].cost for i in combo), Fraction(0))
-            if best is not None and cost >= best[0]:
-                continue
-            if covers(inst, [links[i] for i in combo]):
-                best = (cost, combo)
-    if best is None:
-        raise VerificationError("feasible overall but no subset found; enumeration is broken")
+        best = _cheapest_cover_of_size(inst, costs, cheapest, [], 0, size, best)
     cost, combo = best
+    if not combo:
+        raise VerificationError("feasible overall but no subset found; enumeration is broken")
     if not covers(inst, [links[i] for i in combo]):
         raise VerificationError(f"optimum {combo} does not cover the instance")
-    return cost, combo
+    return Fraction(cost, scale), combo
+
+
+def _cheapest_cover_of_size(
+    inst: Instance,
+    costs: list[int],
+    cheapest: list[list[int]],
+    chosen: list[int],
+    cost: int,
+    r: int,
+    best: tuple[int, tuple[int, ...]],
+) -> tuple[int, tuple[int, ...]]:
+    """Extend `chosen` (costing `cost`) by r more increasing indices.
+
+    Returns the incumbent after every extension strictly cheaper than it
+    has been checked, in lexicographic order.
+    """
+    start = chosen[-1] + 1 if chosen else 0
+    for i in range(start, len(costs) - r + 1):
+        if cost + cheapest[i][r] >= best[0]:
+            break  # no extension from i onwards is cheap enough
+        total = cost + costs[i]
+        if total + cheapest[i + 1][r - 1] >= best[0]:
+            continue
+        chosen.append(i)
+        if r > 1:
+            best = _cheapest_cover_of_size(inst, costs, cheapest, chosen, total, r - 1, best)
+        elif covers(inst, [inst.links[j] for j in chosen]):
+            best = (total, tuple(chosen))
+        chosen.pop()
+    return best
 
 
 def _fmt_cut(s: Cut, inst: Instance) -> str:
@@ -170,7 +204,8 @@ def verify_cores_lemma(
     checks = _row_checks(degree_identities(labeled))
 
     expected = expected_family_slices(params)
-    got_cores = cores_bruteforce(inst, ())
+    fr = violated_cuts(inst, ())
+    got_cores = minimal_cuts(inst, fr)
     want_cores = list(expected.cores)
     checks.append(
         Check(
@@ -181,7 +216,6 @@ def verify_cores_lemma(
     )
 
     c_mask = expected.c.mask
-    fr = violated_cuts(inst, ())
     got_slice = sorted(
         (s for s in fr if s.mask & c_mask != c_mask), key=lambda s: (s.size(), s.mask)
     )

@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -201,6 +202,39 @@ def test_verify_report_is_pinned(q, p, k, tmp_path, capsys):
     assert main(["verify", "--q", str(q), "--p", str(p), "--k", str(k), "--out", str(out)]) == 0
     want = (GOLDEN / f"verify_q{q}_p{p}_k{k}.json").read_bytes()
     assert out.read_bytes() == want
+
+
+SWEEP_KS = ["5", "6", "7", "8", "9", "10", "11", "12"]
+
+
+def test_experiment_output_is_pinned(capsys):
+    assert main(["experiment", "--k", *SWEEP_KS]) == 0
+    want = (GOLDEN / "experiment_k5-12.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == want
+
+
+def test_experiment_table_is_pinned(tmp_path, capsys):
+    out = tmp_path / "table.json"
+    assert main(["experiment", "--k", *SWEEP_KS, "--out", str(out)]) == 0
+    want = (GOLDEN / "experiment_k5-12.json").read_bytes()
+    assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize(
+    "argv", [["experiment", "--k", "5", "6"], ["verify", "--q", "1", "--p", "2", "--k", "5"]]
+)
+def test_command_leaves_no_cyclic_garbage(argv, capsys):
+    assert main(argv) == 0  # warm-up: first-use caches may build cycles once
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
 
 
 def test_jobs_flag_is_rejected(capsys):

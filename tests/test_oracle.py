@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from smallcuts.covering import Instance, Link, covers_by_enumeration
-from smallcuts.errors import BoundExceededError, InfeasibleError
+from smallcuts import oracle
+from smallcuts.covering import Instance, Link, covers, covers_by_enumeration
+from smallcuts.errors import BoundExceededError, InfeasibleError, VerificationError
 from smallcuts.multigraph import MultiGraph
 from smallcuts.oracle import (
     brute_force_optimum,
@@ -101,6 +102,79 @@ def test_optimum_matches_naive_on_random_instances():
         assert got == naive
         checked += 1
     assert checked >= 20
+
+
+def _enumerated_optimum(inst: Instance, covers):
+    """The subset enumerator with Fraction sums that the branch-and-bound
+    search replaced, kept as the reference for its result and its calls."""
+    links = inst.links
+    m = len(links)
+    if covers(inst, []):
+        return Fraction(0), ()
+    if not covers(inst, links):
+        raise InfeasibleError("no feasible cover exists: all links together leave a small cut")
+    prefix = [Fraction(0)] + list(itertools.accumulate(sorted(ln.cost for ln in links)))
+    best = None
+    for size in range(1, m + 1):
+        if best is not None and prefix[size] >= best[0]:
+            break
+        for combo in itertools.combinations(range(m), size):
+            cost = sum((links[i].cost for i in combo), Fraction(0))
+            if best is not None and cost >= best[0]:
+                continue
+            if covers(inst, [links[i] for i in combo]):
+                best = (cost, combo)
+    if best is None:
+        raise VerificationError("feasible overall but no subset found; enumeration is broken")
+    cost, combo = best
+    if not covers(inst, [links[i] for i in combo]):
+        raise VerificationError(f"optimum {combo} does not cover the instance")
+    return cost, combo
+
+
+_GATE_COSTS = tuple(
+    Fraction(c) for c in ("0", "0", "1", "1", "2", "3", "1/2", "1/3", "5/6", "7/4", "3/10", "11/7")
+)
+
+
+def _gate_instance(rng: random.Random) -> Instance:
+    """A small instance whose links include a spanning tree, so it is feasible,
+    with costs of mixed denominators, zeros and repeated values."""
+    n = rng.randint(3, 8)
+    edges = [
+        (u, v, rng.randint(1, 2)) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.4
+    ]
+    order = list(range(n))
+    rng.shuffle(order)
+    pairs = [(order[rng.randrange(i)], order[i]) for i in range(1, n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 14 - len(pairs)))]
+    rng.shuffle(pairs)
+    links = tuple(Link(u, v, rng.choice(_GATE_COSTS)) for u, v in pairs)
+    return Instance(graph=MultiGraph(n, edges), k=rng.randint(2, 5), links=links)
+
+
+def test_optimum_matches_enumerator_and_its_covers_calls(monkeypatch):
+    rng = random.Random(20251018)
+    calls: list[tuple[Link, ...]] = []
+
+    def recording_covers(inst, selected):
+        calls.append(tuple(selected))
+        return covers(inst, selected)
+
+    monkeypatch.setattr(oracle, "covers", recording_covers)
+    nontrivial = 0
+    for _ in range(300):
+        inst = _gate_instance(rng)
+        want = _enumerated_optimum(inst, recording_covers)
+        want_calls = calls[:]
+        calls.clear()
+        got = brute_force_optimum(inst)
+        assert got == want
+        assert type(got[0]) is Fraction
+        assert calls == want_calls
+        calls.clear()
+        nontrivial += len(want[1]) >= 2
+    assert nontrivial >= 200
 
 
 @pytest.mark.parametrize("q,p,k", [(1, 1, 3), (1, 2, 5), (2, 2, 9)])
