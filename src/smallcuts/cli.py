@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from fractions import Fraction
 from typing import Sequence
 
 from .covering import Instance, as_cost
@@ -21,8 +22,6 @@ from .errors import (
     VerificationError,
 )
 from .oracle import (
-    GapResult,
-    VerifierReport,
     gap_experiment,
     gap_sweep,
     verify_cores_lemma,
@@ -39,9 +38,9 @@ from .serialize import (
     trace_to_obj,
 )
 from .tightgen import (
-    AnalyticCoreOracle,
     GadgetParams,
     LabeledInstance,
+    analytic_cores,
     detect_generated,
     generate_instance,
     infer_params,
@@ -64,7 +63,6 @@ def _add_epsilon(parser: argparse.ArgumentParser) -> None:
         "--epsilon",
         nargs="?",
         const=EPSILON_CONST,
-        default="0",
         metavar="FRAC",
         help="blue-link cost surcharge as an exact rational; "
         f"bare --epsilon means {EPSILON_CONST} (default 0)",
@@ -131,8 +129,12 @@ def _emit(text: str, out: str | None) -> None:
         print(f"wrote {out}")
 
 
+def _epsilon(args: argparse.Namespace) -> Fraction:
+    return as_cost("0" if args.epsilon is None else args.epsilon)
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
-    labeled = generate_instance(args.q, args.p, args.k, as_cost(args.epsilon))
+    labeled = generate_instance(args.q, args.p, args.k, _epsilon(args))
     _emit(instance_to_text(labeled.instance), args.out)
     return 0
 
@@ -141,8 +143,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     inst = read_instance(args.instance)
     policy = TiePolicy(args.policy)
     labeled = detect_generated(inst)
-    oracle = AnalyticCoreOracle(labeled) if labeled is not None else None
-    result = run(inst, policy=policy, oracle=oracle)
+    first_cores = analytic_cores(labeled.params) if labeled is not None else None
+    result = run(inst, policy=policy, first_cores=first_cores)
     if args.trace:
         _emit(canonical_text(trace_to_obj(result, inst)), args.trace)
     print(f"policy: {policy.value}")
@@ -162,19 +164,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_reports(
-    params: GadgetParams, labeled: LabeledInstance | None, clean: bool
-) -> tuple[list[VerifierReport], GapResult | None]:
-    reports = [
-        verify_cores_lemma(params, labeled),
-        verify_feasibility_lemma(params, labeled),
-    ]
-    gap = None
-    if clean:
-        gap = gap_experiment(params, policy=TiePolicy.ADVERSARIAL)
-    return reports, gap
-
-
 def _labeled_from_foreign(inst: Instance, params: GadgetParams) -> LabeledInstance:
     """Wrap a parsed instance that matches the generated shape but not the
     generated content, so the verifiers can measure it and fail honestly."""
@@ -186,25 +175,27 @@ def _labeled_from_foreign(inst: Instance, params: GadgetParams) -> LabeledInstan
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    foreign = False
     if args.instance is not None:
+        if any(getattr(args, name) is not None for name in ("q", "p", "k", "epsilon")):
+            raise InvalidParameterError("pass an instance path or --q/--p/--k/--epsilon, not both")
         inst = read_instance(args.instance)
         labeled = detect_generated(inst)
-        if labeled is not None:
-            params = labeled.params
-            reports, gap = _verify_reports(params, labeled, clean=True)
-        else:
+        if labeled is None:
             params = infer_params(inst)
             if params is None:
                 raise InvalidParameterError(
                     "instance does not match the generated family shape; pass --q/--p/--k instead"
                 )
-            reports, gap = _verify_reports(params, _labeled_from_foreign(inst, params), clean=False)
+            labeled = _labeled_from_foreign(inst, params)
+            foreign = True
     else:
         if args.q is None or args.p is None or args.k is None:
             raise InvalidParameterError("pass an instance path or all of --q, --p, --k")
-        params = GadgetParams(q=args.q, p=args.p, k=args.k, epsilon=as_cost(args.epsilon))
-        reports, gap = _verify_reports(params, None, clean=True)
+        labeled = generate_instance(args.q, args.p, args.k, _epsilon(args))
 
+    reports = [verify_cores_lemma(labeled), verify_feasibility_lemma(labeled)]
+    gap = None if foreign else gap_experiment(labeled, policy=TiePolicy.ADVERSARIAL)
     failures = 0
     for report in reports:
         for check in report.checks:

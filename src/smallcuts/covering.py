@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BoundExceededError, InvalidParameterError, VerificationError, require_int
 from .multigraph import Cut, MultiGraph, global_min_cut
@@ -249,12 +249,6 @@ def is_minimal_cover(inst: Instance, selected: Sequence[Link]) -> bool:
     return True
 
 
-class CoreOracle(Protocol):
-    """Produces the inclusion-minimal uncovered small cuts of an instance."""
-
-    def cores(self, inst: Instance, selected: Sequence[Link]) -> list[Cut]: ...
-
-
 def cores_bruteforce(inst: Instance, selected: Sequence[Link] = ()) -> list[Cut]:
     """Inclusion-minimal violated cuts by exhaustive enumeration."""
     return minimal_cuts(inst, violated_cuts(inst, selected))
@@ -283,9 +277,3 @@ def minimal_cuts(inst: Instance, reps: Iterable[Cut]) -> list[Cut]:
                 raise VerificationError("minimal violated cuts must be pairwise disjoint")
     return [Cut(mask, inst.n) for mask in sorted(cores)]
 
-
-class BruteForceCoreOracle:
-    """CoreOracle backed by exhaustive enumeration; exact but exponential."""
-
-    def cores(self, inst: Instance, selected: Sequence[Link]) -> list[Cut]:
-        return cores_bruteforce(inst, selected)

@@ -68,8 +68,7 @@ class MultiGraph:
     Records with multiplicity zero are dropped (a pair that degenerates to
     zero copies is simply not an edge), self-loops and negative
     multiplicities are rejected, and repeated records for one unordered pair
-    are folded by summing.  Instances are immutable after construction and
-    safe to share between workers.
+    are folded by summing.  Instances are immutable after construction.
     """
 
     __slots__ = ("n", "edges", "labels", "_adj")

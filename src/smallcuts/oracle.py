@@ -25,10 +25,10 @@ from .covering import (
 from .errors import BoundExceededError, InfeasibleError, VerificationError
 from .multigraph import Cut, cut_degree
 from .tightgen import (
-    AnalyticCoreOracle,
     GadgetParams,
     LabeledInstance,
     a_union,
+    analytic_cores,
     axis,
     degree_identities,
     degree_sums,
@@ -190,16 +190,13 @@ def _non_membership_checks(labeled: LabeledInstance) -> list[Check]:
     return out
 
 
-def verify_cores_lemma(
-    params: GadgetParams, labeled: LabeledInstance | None = None
-) -> VerifierReport:
+def verify_cores_lemma(labeled: LabeledInstance) -> VerifierReport:
     """Check the core characterization against exhaustive enumeration.
 
-    Passing `labeled` overrides the generated instance, which is how
-    mutation tests feed in a corrupted build.
+    The predictions come from `labeled.params` and every measurement from
+    `labeled.instance`, so a corrupted copy of a build fails by name.
     """
-    if labeled is None:
-        labeled = generate_instance(params.q, params.p, params.k, params.epsilon)
+    params = labeled.params
     inst = labeled.instance
     checks = _row_checks(degree_identities(labeled))
 
@@ -243,12 +240,9 @@ def verify_cores_lemma(
     return VerifierReport(title, tuple(checks))
 
 
-def verify_feasibility_lemma(
-    params: GadgetParams, labeled: LabeledInstance | None = None
-) -> VerifierReport:
+def verify_feasibility_lemma(labeled: LabeledInstance) -> VerifierReport:
     """Check minimal feasibility of both solutions and the uniqueness facts."""
-    if labeled is None:
-        labeled = generate_instance(params.q, params.p, params.k, params.epsilon)
+    params = labeled.params
     inst = labeled.instance
     red = labeled.red()
     blue = labeled.blue()
@@ -277,18 +271,19 @@ def verify_feasibility_lemma(
 
 
 def gap_experiment(
-    params: GadgetParams,
+    labeled: LabeledInstance,
     policy: TiePolicy = TiePolicy.ADVERSARIAL,
 ) -> GapResult:
     """Run the two-phase algorithm against the exact optimum.
 
-    The optimum is enumerated when the link count is within bound.  Above
-    the bound the exact-cost family still has a closed-form optimum p+2,
-    used only in the unperturbed case and flagged as analytic.
+    Phase 1 starts from the closed-form cores of `labeled.params`.  The
+    optimum is enumerated when the link count is within bound.  Above the
+    bound the exact-cost family still has a closed-form optimum p+2, used
+    only in the unperturbed case and flagged as analytic.
     """
-    labeled = generate_instance(params.q, params.p, params.k, params.epsilon)
+    params = labeled.params
     inst = labeled.instance
-    result = run(inst, policy=policy, oracle=AnalyticCoreOracle(labeled))
+    result = run(inst, policy=policy, first_cores=analytic_cores(params))
     alg_cost = result.final_cost(inst)
     if len(inst.links) <= DEFAULT_LINK_BOUND:
         opt_cost, _ = brute_force_optimum(inst)
@@ -329,8 +324,7 @@ def gap_sweep(k_list: Sequence[int]) -> list[SweepRow]:
     rows = []
     for k in k_list:
         p = (k - 1) // 2
-        params = GadgetParams(q=1, p=p, k=k)
-        res = gap_experiment(params, policy=TiePolicy.ADVERSARIAL)
+        res = gap_experiment(generate_instance(1, p, k), policy=TiePolicy.ADVERSARIAL)
         if k % 2 == 1:
             formula = Fraction(5 * (k - 1), k + 3)
         else:

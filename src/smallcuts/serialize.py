@@ -178,7 +178,8 @@ def to_dot(inst: Instance) -> str:
     g = inst.graph
     lines = ["graph instance {"]
     for v in range(g.n):
-        lines.append(f'  {v} [label="{g.label_of(v)}"];')
+        label = g.label_of(v).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {v} [label="{label}"];')
     for u, v, m in g.edges:
         lines.append(f'  {u} -- {v} [color=green, label="{m}"];')
     for ln in inst.links:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .covering import Instance, Link, as_cost, cores_bruteforce
+from .covering import Instance, Link, as_cost
 from .errors import ConstructionError, InvalidParameterError, require_int
 from .multigraph import Cut, MultiGraph, cut_degree
 
@@ -274,28 +274,6 @@ def analytic_cores(params: GadgetParams) -> list[Cut]:
     cores = [_gadget_sets(params, i)[0] for i in range(params.p)]
     cores += [Cut.of((r,), params.n), _c_set(params)]
     return sorted(cores, key=lambda s: s.mask)
-
-
-class AnalyticCoreOracle:
-    """CoreOracle that answers the empty selection from the closed form.
-
-    Nonempty selections fall back to exhaustive core discovery, which
-    refuses above the enumeration bound; a full two-phase run on a
-    generated instance never needs that path because coverage testing, not
-    core discovery, decides termination.
-    """
-
-    def __init__(self, labeled: LabeledInstance) -> None:
-        self.labeled = labeled
-        self._initial = analytic_cores(labeled.params)
-
-    def cores(self, inst: Instance, selected) -> list[Cut]:
-        own = self.labeled.instance
-        if inst.k != own.k or inst.graph.n != own.graph.n or inst.graph.edges != own.graph.edges:
-            raise InvalidParameterError("analytic core oracle queried with a different instance")
-        if not list(selected):
-            return list(self._initial)
-        return cores_bruteforce(inst, list(selected))
 
 
 @dataclass(frozen=True)

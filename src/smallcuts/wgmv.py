@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .covering import BruteForceCoreOracle, CoreOracle, Instance, Link, covers, link_crosses
+from .covering import Instance, Link, cores_bruteforce, covers, link_crosses
 from .errors import InfeasibleError, VerificationError
 from .multigraph import Cut, cut_degree
 
@@ -99,16 +99,26 @@ def cost_of(inst: Instance, indices: Sequence[int]) -> Fraction:
 def phase1(
     inst: Instance,
     policy: TiePolicy = TiePolicy.INPUT_ORDER,
-    oracle: CoreOracle | None = None,
+    first_cores: Sequence[Cut] | None = None,
 ) -> tuple[list[int], DualSolution, list[IterationRecord]]:
     """Grow duals until the appended links cover every small cut.
 
     Returns (added link indices in append order, dual solution, iteration
     records).  Raises InfeasibleError when some core is crossed by no
     remaining link and so can never be covered.
+
+    Cores come from exhaustive enumeration, except that `first_cores`, when
+    given, are taken as the cores of the empty selection, which only the
+    first iteration sees.  Each must be a small cut and no two may overlap;
+    otherwise VerificationError.
     """
-    if oracle is None:
-        oracle = BruteForceCoreOracle()
+    if first_cores is not None:
+        first_cores = list(first_cores)
+        for i, s in enumerate(first_cores):
+            if cut_degree(inst.graph, s) >= inst.k:
+                raise VerificationError(f"supplied core {s} is not a small cut")
+            if any(s.mask & t.mask for t in first_cores[:i]):
+                raise VerificationError(f"supplied core {s} overlaps an earlier one")
     links = inst.links
     key = _append_key(policy, links)
     added: list[int] = []
@@ -119,14 +129,15 @@ def phase1(
     it = 0
     while True:
         selected = [links[i] for i in added]
-        # Termination is decided by the exact min-cut coverage test, so the
-        # oracle is only consulted while violated cuts actually exist.  That
-        # keeps analytic oracles usable on instances too large to enumerate.
+        # Termination is decided by the exact min-cut coverage test, so cores
+        # are only looked for while violated cuts actually exist.  A run that
+        # starts from supplied first cores and is covered after one iteration
+        # never enumerates, whatever the instance's size.
         if covers(inst, selected):
             break
-        cores = oracle.cores(inst, selected)
+        cores = first_cores if it == 0 and first_cores is not None else cores_bruteforce(inst, selected)
         if not cores:
-            raise VerificationError("coverage test found a violated cut but the oracle returned no cores")
+            raise VerificationError("coverage test found a violated cut but there are no cores")
         it += 1
         remaining = [i for i in range(len(links)) if not in_added[i]]
         crossings = [sum(1 for s in cores if link_crosses(links[i], s)) for i in remaining]
@@ -180,10 +191,10 @@ def reverse_delete(inst: Instance, added: Sequence[int]) -> tuple[list[int], lis
 def run(
     inst: Instance,
     policy: TiePolicy = TiePolicy.INPUT_ORDER,
-    oracle: CoreOracle | None = None,
+    first_cores: Sequence[Cut] | None = None,
 ) -> RunResult:
     """Both phases end to end; the result's final set is a minimal cover."""
-    added, dual, records = phase1(inst, policy=policy, oracle=oracle)
+    added, dual, records = phase1(inst, policy=policy, first_cores=first_cores)
     final, deleted = reverse_delete(inst, added)
     if not covers(inst, [inst.links[i] for i in final]):
         raise VerificationError("reverse delete left a selection that is not a cover")

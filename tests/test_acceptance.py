@@ -22,12 +22,7 @@ from smallcuts.covering import (
 )
 from smallcuts.multigraph import Cut, MultiGraph, cut_degree
 from smallcuts.oracle import brute_force_optimum, gap_experiment, gap_sweep
-from smallcuts.tightgen import (
-    GadgetParams,
-    analytic_cores,
-    expected_family_slices,
-    generate_instance,
-)
+from smallcuts.tightgen import analytic_cores, expected_family_slices, generate_instance
 from smallcuts.wgmv import TiePolicy, dual_feasible, run
 
 
@@ -127,7 +122,7 @@ def test_criterion_04_gap_exact():
     for p in (2, 3, 4):
         k = 2 * p + 1
         start = time.monotonic()
-        res = gap_experiment(GadgetParams(q=1, p=p, k=k), TiePolicy.ADVERSARIAL)
+        res = gap_experiment(generate_instance(1, p, k), TiePolicy.ADVERSARIAL)
         elapsed = time.monotonic() - start
         assert res.alg_cost == 5 * p
         assert res.opt_cost == p + 2
@@ -141,11 +136,11 @@ def test_criterion_04_gap_exact():
 def test_criterion_05_dual_certificate():
     for p in (2, 3, 4):
         k = 2 * p + 1
-        params = GadgetParams(q=1, p=p, k=k)
-        res = gap_experiment(params, TiePolicy.ADVERSARIAL)
-        inst = generate_instance(1, p, k).instance
+        lab = generate_instance(1, p, k)
+        res = gap_experiment(lab, TiePolicy.ADVERSARIAL)
+        inst = lab.instance
         entries = res.run.dual.entries
-        assert entries == {s: Fraction(1) for s in analytic_cores(params)}
+        assert entries == {s: Fraction(1) for s in analytic_cores(lab.params)}
         assert len(entries) == p + 2
         assert dual_feasible(inst, res.run.dual)
         assert res.dual_obj == p + 2 == res.opt_cost
@@ -164,7 +159,7 @@ def test_criterion_06_epsilon_variant():
 
 @criterion(7, "helpful ordering on the exact instance returns blue at ratio 1")
 def test_criterion_07_policy_sensitivity():
-    res = gap_experiment(GadgetParams(q=1, p=2, k=5), TiePolicy.HELPFUL)
+    res = gap_experiment(generate_instance(1, 2, 5), TiePolicy.HELPFUL)
     assert set(res.run.final) == {0, 1, 2}
     assert res.alg_cost == 4
     assert res.ratio == 1

@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from smallcuts import tightgen
 from smallcuts.cli import main
-from smallcuts.serialize import instance_to_text, read_instance
+from smallcuts.covering import Instance
+from smallcuts.multigraph import MultiGraph
+from smallcuts.serialize import instance_to_text, read_instance, write_instance
 from smallcuts.tightgen import generate_instance
 
 
@@ -240,3 +243,57 @@ def test_command_leaves_no_cyclic_garbage(argv, capsys):
 def test_jobs_flag_is_rejected(capsys):
     assert main(["verify", "--q", "1", "--p", "2", "--k", "5", "--jobs", "1"]) == 3
     assert main(["experiment", "--k", "5", "--jobs", "2"]) == 3
+
+
+@pytest.mark.parametrize("flag", [["--q", "3"], ["--p", "9"], ["--k", "2"], ["--epsilon", "1/2"]])
+def test_verify_rejects_instance_path_with_params(flag, tmp_path, capsys):
+    path = _write(tmp_path, "g.json")
+    assert main(["verify", path, *flag]) == 3
+    assert "pass an instance path or --q/--p/--k/--epsilon, not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("from_file", [False, True])
+def test_verify_builds_the_family_once(from_file, tmp_path, monkeypatch, capsys):
+    if from_file:
+        argv = ["verify", _write(tmp_path, "g.json")]
+    else:
+        argv = ["verify", "--q", "1", "--p", "4", "--k", "9"]
+    builds = []
+    build = tightgen._build
+    monkeypatch.setattr(tightgen, "_build", lambda params: builds.append(params) or build(params))
+    assert main(argv) == 0
+    assert len(builds) == 1
+
+
+def test_export_dot_escapes_labels(tmp_path, capsys):
+    path = tmp_path / "labels.json"
+    g = MultiGraph(2, [(0, 1, 1)], labels=['t1" shape=box color="red', "back\\slash"])
+    write_instance(str(path), Instance(graph=g, k=1, links=()))
+    assert main(["export-dot", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '  0 [label="t1\\" shape=box color=\\"red"];' in out
+    assert '  1 [label="back\\\\slash"];' in out
+
+
+@pytest.mark.parametrize(
+    "source,policy",
+    [
+        (["1", "2", "5"], "adversarial"),
+        (["1", "6", "13"], "adversarial"),  # n = 27: only the first-cores path can run it
+        (["1", "6", "13"], "helpful"),
+        ("n7", "adversarial"),  # not a family member; phase 1 runs 3 iterations
+    ],
+)
+def test_solve_output_is_pinned(source, policy, tmp_path, capsys):
+    if source == "n7":
+        path, name = str(GOLDEN / "solve_n7.json"), "solve_n7"
+    else:
+        q, p, k = source
+        path, name = str(tmp_path / "g.json"), f"solve_q{q}_p{p}_k{k}"
+        assert main(["generate", "--q", q, "--p", p, "--k", k, "--out", path]) == 0
+        capsys.readouterr()
+    assert main(["solve", path, "--policy", policy]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / f"{name}_{policy}.txt").read_bytes()
+    trace = tmp_path / "trace.json"
+    assert main(["solve", path, "--policy", policy, "--trace", str(trace)]) == 0
+    assert trace.read_bytes() == (GOLDEN / f"{name}_{policy}.json").read_bytes()

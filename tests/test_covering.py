@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from smallcuts.covering import (
-    BruteForceCoreOracle,
     Instance,
     Link,
     as_cost,
@@ -195,12 +194,6 @@ def test_cores_respect_selection():
         assert c.mask in family
         for member in family:
             assert not (member & c.mask == member and member != c.mask)
-
-
-def test_core_oracle_protocol():
-    inst = gadget_instance()
-    oracle = BruteForceCoreOracle()
-    assert oracle.cores(inst, []) == cores_bruteforce(inst, ())
 
 
 def test_is_minimal_cover():

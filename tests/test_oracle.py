@@ -16,7 +16,7 @@ from smallcuts.oracle import (
     verify_cores_lemma,
     verify_feasibility_lemma,
 )
-from smallcuts.tightgen import GadgetParams, generate_instance
+from smallcuts.tightgen import generate_instance
 from smallcuts.wgmv import TiePolicy
 
 
@@ -179,7 +179,7 @@ def test_optimum_matches_enumerator_and_its_covers_calls(monkeypatch):
 
 @pytest.mark.parametrize("q,p,k", [(1, 1, 3), (1, 2, 5), (2, 2, 9)])
 def test_cores_lemma_verifier_passes(q, p, k):
-    report = verify_cores_lemma(GadgetParams(q=q, p=p, k=k))
+    report = verify_cores_lemma(generate_instance(q, p, k))
     assert report.passed, report.failures()
 
 
@@ -188,7 +188,7 @@ def test_cores_lemma_verifier_catches_br_mutation():
     edges = [(u, v, m + (1 if (u, v) == (9, 10) else 0)) for u, v, m in lab.instance.graph.edges]
     graph = MultiGraph(11, edges, labels=lab.instance.graph.labels)
     mutated = dataclasses.replace(lab, instance=dataclasses.replace(lab.instance, graph=graph))
-    report = verify_cores_lemma(lab.params, mutated)
+    report = verify_cores_lemma(mutated)
     assert not report.passed
     names = {c.name for c in report.failures()}
     assert "d(r) = k-p" in names
@@ -211,13 +211,13 @@ def test_mutation_sensitivity_every_sampled_edge():
             mutated = dataclasses.replace(
                 lab, instance=dataclasses.replace(lab.instance, graph=graph)
             )
-            report = verify_cores_lemma(lab.params, mutated)
+            report = verify_cores_lemma(mutated)
             assert not report.passed, (target, delta)
 
 
 @pytest.mark.parametrize("q,p,k", [(1, 1, 3), (1, 2, 5), (2, 2, 9)])
 def test_feasibility_lemma_verifier_passes(q, p, k):
-    report = verify_feasibility_lemma(GadgetParams(q=q, p=p, k=k))
+    report = verify_feasibility_lemma(generate_instance(q, p, k))
     assert report.passed, report.failures()
 
 
@@ -236,21 +236,19 @@ def test_red_without_yr_leaves_y_cut_uncovered():
 
 
 def test_gap_experiment_values():
-    adv = gap_experiment(GadgetParams(q=1, p=2, k=5), TiePolicy.ADVERSARIAL)
+    adv = gap_experiment(generate_instance(1, 2, 5), TiePolicy.ADVERSARIAL)
     assert (adv.alg_cost, adv.opt_cost, adv.dual_obj) == (10, 4, 4)
     assert adv.ratio == Fraction(5, 2)
     assert not adv.opt_is_analytic
-    hlp = gap_experiment(GadgetParams(q=1, p=2, k=5), TiePolicy.HELPFUL)
+    hlp = gap_experiment(generate_instance(1, 2, 5), TiePolicy.HELPFUL)
     assert hlp.ratio == 1
     assert hlp.alg_cost == 4
-    three = gap_experiment(GadgetParams(q=1, p=3, k=7), TiePolicy.ADVERSARIAL)
+    three = gap_experiment(generate_instance(1, 3, 7), TiePolicy.ADVERSARIAL)
     assert three.ratio == 3
 
 
 def test_gap_experiment_perturbed_optimum_is_exact():
-    res = gap_experiment(
-        GadgetParams(q=1, p=2, k=5, epsilon=Fraction(1, 100)), TiePolicy.HELPFUL
-    )
+    res = gap_experiment(generate_instance(1, 2, 5, Fraction(1, 100)), TiePolicy.HELPFUL)
     # cheapest perturbed cover swaps rz out for a single y_i r link
     assert res.opt_cost == 4 + Fraction(2, 100)
     assert res.alg_cost == 10

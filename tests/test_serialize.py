@@ -22,7 +22,7 @@ from smallcuts.serialize import (
     trace_to_obj,
     write_instance,
 )
-from smallcuts.tightgen import GadgetParams, generate_instance
+from smallcuts.tightgen import generate_instance
 from smallcuts.wgmv import TiePolicy, run
 
 
@@ -119,11 +119,11 @@ def test_trace_obj_shape():
 
 
 def test_report_and_gap_objs_serialize():
-    params = GadgetParams(q=1, p=2, k=5)
-    report = report_to_obj(verify_cores_lemma(params))
+    lab = generate_instance(1, 2, 5)
+    report = report_to_obj(verify_cores_lemma(lab))
     assert report["passed"] is True
     assert report["checks"][0]["name"]
-    gap = gap_to_obj(gap_experiment(params, TiePolicy.ADVERSARIAL))
+    gap = gap_to_obj(gap_experiment(lab, TiePolicy.ADVERSARIAL))
     assert gap["ratio"] == "5/2"
     assert gap["alg_cost"] == "10/1"
     assert gap["opt_is_analytic"] is False

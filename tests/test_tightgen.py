@@ -7,7 +7,6 @@ from smallcuts.covering import cores_bruteforce
 from smallcuts.errors import ConstructionError, InvalidParameterError
 from smallcuts.multigraph import MultiGraph
 from smallcuts.tightgen import (
-    AnalyticCoreOracle,
     GadgetParams,
     analytic_cores,
     detect_generated,
@@ -122,19 +121,6 @@ def test_construction_validation_catches_bad_multiplicity():
 def test_analytic_cores_match_bruteforce(q, p, k):
     lab = generate_instance(q, p, k)
     assert analytic_cores(lab.params) == cores_bruteforce(lab.instance, ())
-
-
-def test_analytic_core_oracle_behavior():
-    lab = generate_instance(1, 2, 5)
-    oracle = AnalyticCoreOracle(lab)
-    inst = lab.instance
-    assert oracle.cores(inst, []) == analytic_cores(lab.params)
-    # nonempty selections delegate to exhaustive discovery
-    one = [inst.links[3]]
-    assert oracle.cores(inst, one) == cores_bruteforce(inst, one)
-    other = generate_instance(1, 1, 3).instance
-    with pytest.raises(InvalidParameterError):
-        oracle.cores(other, [])
 
 
 def test_expected_family_slices_counts():

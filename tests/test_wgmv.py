@@ -12,8 +12,9 @@ import pytest
 import smallcuts
 
 from smallcuts.covering import Instance, Link, covers, is_minimal_cover
-from smallcuts.errors import InfeasibleError, VerificationError
+from smallcuts.errors import InfeasibleError, InvalidParameterError, VerificationError
 from smallcuts.multigraph import Cut, MultiGraph
+from smallcuts.tightgen import GadgetParams, analytic_cores, generate_instance
 from smallcuts.wgmv import (
     DualSolution,
     TiePolicy,
@@ -112,17 +113,12 @@ def test_phase1_infeasible():
         phase1(crippled)
 
 
-class _NoCores:
-    def cores(self, inst, selected):
-        return []
+def test_phase1_rejects_empty_first_cores():
+    with pytest.raises(VerificationError, match="there are no cores"):
+        phase1(gadget_instance(), first_cores=())
 
 
-def test_phase1_rejects_oracle_without_cores():
-    with pytest.raises(VerificationError, match="oracle returned no cores"):
-        phase1(gadget_instance(), oracle=_NoCores())
-
-
-def test_phase1_rejects_oracle_without_cores_under_optimize():
+def test_phase1_rejects_empty_first_cores_under_optimize():
     # the invariant must hold without asserts, which python -O strips
     code = """
 from smallcuts.covering import Instance, Link
@@ -130,12 +126,8 @@ from smallcuts.errors import VerificationError
 from smallcuts.multigraph import MultiGraph
 from smallcuts.wgmv import phase1
 
-class NoCores:
-    def cores(self, inst, selected):
-        return []
-
 try:
-    phase1(Instance(graph=MultiGraph(2, []), k=1, links=(Link(0, 1, 1),)), oracle=NoCores())
+    phase1(Instance(graph=MultiGraph(2, []), k=1, links=(Link(0, 1, 1),)), first_cores=())
 except VerificationError:
     raise SystemExit(0)
 """
@@ -227,3 +219,26 @@ def test_random_instances_respect_weak_duality_and_bound():
         # phase 2 only ever removes, in reverse order, what phase 1 added
         assert set(res.final) | set(res.deleted) == set(res.added)
         assert [i for i in res.added if i in res.final] == list(res.final)
+
+
+@pytest.mark.parametrize("q,p,k", [(1, 1, 3), (2, 1, 5), (1, 2, 5), (1, 3, 7), (2, 2, 9)])
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(1, 100)])
+def test_first_cores_run_equals_enumerated_run(q, p, k, eps):
+    lab = generate_instance(q, p, k, eps)
+    first = analytic_cores(lab.params)
+    for policy in TiePolicy:
+        assert run(lab.instance, policy, first_cores=first) == run(lab.instance, policy), policy
+
+
+def test_phase1_rejects_bad_first_cores():
+    lab = generate_instance(1, 2, 5)
+    inst = lab.instance
+    cores = analytic_cores(lab.params)
+    a1 = Cut.of([1], inst.n)  # d(a_1) = k
+    with pytest.raises(VerificationError, match="not a small cut"):
+        phase1(inst, first_cores=[*cores, a1])
+    t1, a_set = Cut.of([0], inst.n), Cut.of([0, 1], inst.n)  # both small, they share t_1
+    with pytest.raises(VerificationError, match="overlaps"):
+        phase1(inst, first_cores=[t1, a_set])
+    with pytest.raises(InvalidParameterError, match="cut over 7 nodes"):
+        phase1(inst, first_cores=analytic_cores(GadgetParams(q=1, p=1, k=3)))
