@@ -55,7 +55,8 @@ def as_cost(value: object) -> Fraction:
 
     Accepts int, Fraction, and strings like "3", "5/2", or "0.01" (decimal
     strings are exact).  Float objects are rejected: costs feed exact dual
-    arithmetic and must not arrive already rounded to binary.
+    arithmetic and must not arrive already rounded to binary, and exponent
+    notation is rejected.
     """
     if isinstance(value, bool):
         raise InvalidParameterError(f"cost must be a number, got {value!r}")
@@ -64,6 +65,8 @@ def as_cost(value: object) -> Fraction:
     if isinstance(value, (int, Fraction)):
         cost = Fraction(value)
     elif isinstance(value, str):
+        if "e" in value.lower():  # Fraction would expand "1e10000000" in full
+            raise InvalidParameterError(f"cost {value!r} uses exponent notation; write a fraction or decimal")
         try:
             cost = Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -128,31 +131,28 @@ class Instance:
         return self.graph.n
 
     def default_root(self) -> int:
-        """Node to exclude when enumerating one representative per cut side."""
-        r = self.graph.node_by_label("r")
-        return r if r is not None else 0
+        """Node left out when enumerating one side per cut: the last, whatever the labels."""
+        return self.n - 1
 
 
 def link_crosses(link: Link, s: Cut) -> bool:
     return s.contains(link.u) != s.contains(link.v)
 
 
-def _cut_degrees_excluding(g: MultiGraph, root: int) -> list[int]:
-    """Crossing multiplicity for every node subset avoiding `root`.
+def _cut_degrees(g: MultiGraph) -> list[int]:
+    """Crossing multiplicity for every node subset avoiding the last node.
 
-    Returns dp indexed by masks over the compacted id order (root removed).
-    dp[mask | lowbit] extends dp[mask] by one node in O(n) via the identity
+    Returns dp indexed by node masks over 0..n-2.  dp[mask | lowbit] extends
+    dp[mask] by one node in O(n) via the identity
     d(S + v) = d(S) + deg(v) - 2 * mult(v, S).
     """
-    order = [v for v in range(g.n) if v != root]
-    m = len(order)
-    deg = [g.node_degree(v) for v in order]
+    m = g.n - 1
+    deg = [g.node_degree(v) for v in range(m)]
     inner = [[0] * m for _ in range(m)]
-    pos = {v: i for i, v in enumerate(order)}
     for u, v, mult in g.edges:
-        if u != root and v != root:
-            inner[pos[u]][pos[v]] = mult
-            inner[pos[v]][pos[u]] = mult
+        if v < m:  # edges are stored with u < v
+            inner[u][v] = mult
+            inner[v][u] = mult
     dp = [0] * (1 << m)
     for mask in range(1, 1 << m):
         low = (mask & -mask).bit_length() - 1
@@ -168,41 +168,25 @@ def _cut_degrees_excluding(g: MultiGraph, root: int) -> list[int]:
     return dp
 
 
-def _expand_mask(mask: int, order: Sequence[int], n: int) -> int:
-    out = 0
-    for i, v in enumerate(order):
-        if mask >> i & 1:
-            out |= 1 << v
-    return out
-
-
 def violated_cuts(inst: Instance, selected: Iterable[Link]) -> list[Cut]:
     """All small cuts not covered by `selected`, one representative per side.
 
-    Exhaustive over subsets avoiding the default root, so each cut appears
-    as the side excluding the root.  Results sorted by (size, mask).
+    Exhaustive over subsets avoiding the root `inst.default_root()`, the
+    last node, so each cut appears as the side excluding it.  Results
+    sorted by (size, mask).
     """
     n = inst.n
     _check_enum_ok(n, "violated_cuts")
-    root = inst.default_root()
-    order = [v for v in range(n) if v != root]
-    dp = _cut_degrees_excluding(inst.graph, root)
-    sel = list(selected)
-    epmasks = []
-    for ln in sel:
-        ep = 0
-        if ln.u != root:
-            ep |= 1 << order.index(ln.u)
-        if ln.v != root:
-            ep |= 1 << order.index(ln.v)
-        epmasks.append(ep)
+    dp = _cut_degrees(inst.graph)
+    nonroot = (1 << (n - 1)) - 1
+    epmasks = [(1 << ln.u | 1 << ln.v) & nonroot for ln in selected]
     out = []
     for mask in range(1, 1 << (n - 1)):
         if dp[mask] >= inst.k:
             continue
         if any((mask & ep).bit_count() == 1 for ep in epmasks):
             continue
-        out.append(Cut(_expand_mask(mask, order, n), n))
+        out.append(Cut(mask, n))
     out.sort(key=lambda s: (s.size(), s.mask))
     return out
 

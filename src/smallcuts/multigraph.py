@@ -131,14 +131,6 @@ class MultiGraph:
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
-    def node_by_label(self, label: str) -> int | None:
-        if self.labels is None:
-            return None
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            return None
-
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, edges={len(self.edges)})"
 

@@ -82,14 +82,14 @@ def instance_from_obj(obj: Any) -> Instance:
                 tag=entry.get("tag"),
             )
         )
-    graph = MultiGraph(n, edges, labels=[lb if lb is not None else "" for lb in labels])
+    graph = MultiGraph(n, edges, labels=labels)
     return Instance(graph=graph, k=obj["k"], links=tuple(links))
 
 
 def instance_from_text(text: str) -> Instance:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
         raise InvalidParameterError(f"not valid JSON: {e}")
     return instance_from_obj(obj)
 

@@ -8,8 +8,9 @@ phase 1.  Every build is validated against an exact degree battery; a
 mismatch is a construction bug, never a warning.
 
 Node ids: gadget i (0-based) occupies 4i..4i+3 as t, a, x, y; then z=4p,
-b=4p+1, r=4p+2.  Node labels are t, a, x, y, z, b, r at p=1 and 1-based
-(t1, a1, ...) for the gadget nodes at p>=2.
+b=4p+1, r=4p+2.  So r is the last node, the one cut enumeration leaves out.
+Node labels are t, a, x, y, z, b, r at p=1 and 1-based (t1, a1, ...) for
+the gadget nodes at p>=2; they affect printing only.
 """
 
 from __future__ import annotations

@@ -45,3 +45,20 @@ def test_traced_layers_exist():
     assert len(layers) == 6
     missing = [layer for layer in layers if not _resolves(f"smallcuts.{layer}", None)]
     assert missing == []
+
+
+def test_tracer_counts_one_solve(monkeypatch, capsys):
+    """The tracer's hooks read attributes of the traced calls' arguments and
+    results (`inst.default_root()`, `args[0].n`, `out[2]`, `args[1]`), which
+    an import check cannot see; one traced `solve` exercises them all."""
+    from smallcuts.cli import main
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    tr = tracer.Tracer()
+    instance = BENCH.parent / "tests" / "golden" / "solve_n7.json"
+    with tr.installed(), tr.op():
+        assert main(["solve", str(instance)]) == 0
+    metrics = tr.layer_metrics(0.0)
+    assert metrics["covering.violated_cuts.calls"] == 3
+    assert metrics["wgmv.phase1.iterations"] == 3

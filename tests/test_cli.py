@@ -297,3 +297,38 @@ def test_solve_output_is_pinned(source, policy, tmp_path, capsys):
     trace = tmp_path / "trace.json"
     assert main(["solve", path, "--policy", policy, "--trace", str(trace)]) == 0
     assert trace.read_bytes() == (GOLDEN / f"{name}_{policy}.json").read_bytes()
+
+
+@pytest.mark.parametrize("relabel", ["rename_r", "rotate"])
+def test_verify_ignores_node_labels(relabel, tmp_path, capsys):
+    path = _write(tmp_path, "g.json")
+    assert main(["verify", path]) == 0
+    want = capsys.readouterr().out
+    obj = json.loads(open(path).read())
+    labels = [node["label"] for node in obj["nodes"]]
+    if relabel == "rename_r":
+        labels = ["R" if lb == "r" else lb for lb in labels]
+    else:
+        labels = labels[-1:] + labels[:-1]  # node 0 is now named "r"
+    for node, lb in zip(obj["nodes"], labels):
+        node["label"] = lb
+    moved = tmp_path / "relabeled.json"
+    moved.write_text(json.dumps(obj))
+    assert main(["verify", str(moved)]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("command", ["solve", "export-dot"])
+@pytest.mark.parametrize("field", ["cost", "k"])
+def test_malformed_numbers_exit_3(command, field, tmp_path, capsys):
+    obj = json.loads(instance_to_text(generate_instance(1, 1, 3).instance))
+    if field == "cost":
+        obj["links"][0]["cost"] = "1e5000"
+        text = json.dumps(obj)
+    else:  # an integer past Python's 4300-digit string conversion limit
+        text = json.dumps(obj).replace('"k": 3', '"k": ' + "9" * 5000)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -50,6 +50,12 @@ def test_as_cost_rejects(bad):
         as_cost(bad)
 
 
+@pytest.mark.parametrize("bad", ["1e5000", "1e-2", "2E3", "1.5e1/2"])
+def test_as_cost_rejects_exponent_notation(bad):
+    with pytest.raises(InvalidParameterError, match="exponent notation"):
+        as_cost(bad)
+
+
 def test_link_validation():
     with pytest.raises(InvalidParameterError):
         Link(2, 2, 1)
@@ -85,10 +91,12 @@ def test_link_rejects_non_integer_endpoints(u, v):
         Link(u, v, 1)
 
 
-def test_default_root_prefers_r_label():
+def test_default_root_is_last_node():
     assert gadget_instance().default_root() == 6
     g = MultiGraph(3, [(0, 1, 1)])
-    assert Instance(graph=g, k=1, links=()).default_root() == 0
+    assert Instance(graph=g, k=1, links=()).default_root() == 2
+    labeled = MultiGraph(3, [(0, 1, 1)], labels=["r", "a", "b"])
+    assert Instance(graph=labeled, k=1, links=()).default_root() == 2
 
 
 def test_link_crosses():
@@ -194,6 +202,35 @@ def test_cores_respect_selection():
         assert c.mask in family
         for member in family:
             assert not (member & c.mask == member and member != c.mask)
+
+
+def _cores_by_definition(inst: Instance, selected) -> list[int]:
+    """Inclusion-minimal uncovered small cuts, from a literal loop over every
+    proper nonempty subset; no root, no shared code with the library."""
+    n = inst.n
+    uncovered = []
+    for size in range(1, n):
+        for nodes in itertools.combinations(range(n), size):
+            s = Cut.of(nodes, n)
+            if cut_degree(inst.graph, s) < inst.k and not any(link_crosses(ln, s) for ln in selected):
+                uncovered.append(s.mask)
+    return sorted(m for m in uncovered if not any(o != m and o & m == o for o in uncovered))
+
+
+def test_cores_match_definition_on_random_instances():
+    rng = random.Random(20261018)
+    names = ["r", "R", "t", "a", "x", "y", "z", "b", "q"]
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        edges = [(u, v, rng.randint(1, 3)) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        g = MultiGraph(n, edges, labels=rng.sample(names, n))
+        links = tuple(
+            Link(u, v, 1) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.3
+        )
+        inst = Instance(graph=g, k=rng.randint(1, 5), links=links)
+        chosen = [ln for ln in links if rng.random() < 0.5]
+        want = [Cut(m, n) for m in _cores_by_definition(inst, chosen)]
+        assert cores_bruteforce(inst, chosen) == want
 
 
 def test_is_minimal_cover():

@@ -86,11 +86,8 @@ def test_multigraph_rejects_non_integer_node_count(n):
 def test_labels():
     g = gadget()
     assert g.label_of(0) == "t"
-    assert g.node_by_label("r") == 6
-    assert g.node_by_label("nope") is None
     unlabeled = MultiGraph(2, [(0, 1, 1)])
     assert unlabeled.label_of(1) == "1"
-    assert unlabeled.node_by_label("1") is None
 
 
 def test_gadget_degrees():
