@@ -29,6 +29,7 @@ from .oracle import (
 )
 from .serialize import (
     canonical_text,
+    fraction_text,
     gap_to_obj,
     instance_to_text,
     read_instance,
@@ -155,12 +156,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     for i in result.final:
         ln = inst.links[i]
         tag = f" [{ln.tag}]" if ln.tag else ""
-        print(f"  {i}: {inst.graph.label_of(ln.u)}-{inst.graph.label_of(ln.v)} cost {ln.cost}{tag}")
+        print(f"  {i}: {inst.graph.label_of(ln.u)}-{inst.graph.label_of(ln.v)} cost {fraction_text(ln.cost)}{tag}")
     cost = cost_of(inst, result.final)
     dual = result.dual.objective()
-    print(f"cost {cost}, dual {dual}")
+    print(f"cost {fraction_text(cost)}, dual {fraction_text(dual)}")
     if dual > 0:
-        print(f"ratio vs dual bound: {cost / dual}")
+        print(f"ratio vs dual bound: {fraction_text(cost / dual)}")
     return 0
 
 
@@ -206,9 +207,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 print(f"     {check.detail}")
     if gap is not None:
         print(
-            f"gap: alg {gap.alg_cost}, opt {gap.opt_cost}"
+            f"gap: alg {fraction_text(gap.alg_cost)}, opt {fraction_text(gap.opt_cost)}"
             f"{' (analytic)' if gap.opt_is_analytic else ''}, "
-            f"dual {gap.dual_obj}, ratio {gap.ratio}"
+            f"dual {fraction_text(gap.dual_obj)}, ratio {fraction_text(gap.ratio)}"
         )
     obj = {
         "reports": [report_to_obj(r) for r in reports],
@@ -229,8 +230,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     print(f"{'k':>4} {'p':>4} {'ratio':>10} {'formula':>10} {'match':>6} {'opt':>9}")
     for row in rows:
         print(
-            f"{row.k:>4} {row.p:>4} {str(row.ratio):>10} "
-            f"{str(row.formula_value):>10} {str(row.matches).lower():>6} "
+            f"{row.k:>4} {row.p:>4} {fraction_text(row.ratio):>10} "
+            f"{fraction_text(row.formula_value):>10} {str(row.matches).lower():>6} "
             f"{'analytic' if row.opt_is_analytic else 'exact':>9}"
         )
     if args.out:

@@ -4,7 +4,8 @@ A cut S is *small* when its crossing multiplicity in the base graph is below
 the threshold k.  A link covers S when exactly one of its endpoints lies in
 S.  A set of links is a cover when every small cut is covered; equivalently,
 adding each selected link as a capacity-k edge lifts the global minimum cut
-of the augmented graph to at least k.
+of the augmented graph to at least k, which `covers` tests at any size by
+contraction and Stoer-Wagner phases, with no enumeration.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BoundExceededError, InvalidParameterError, VerificationError, require_int
-from .multigraph import Cut, MultiGraph, global_min_cut
+from .multigraph import Cut, MultiGraph, min_cut_phases
 
 LINK_TAGS = (None, "red", "blue")
 
@@ -196,30 +197,47 @@ def covers_by_enumeration(inst: Instance, selected: Iterable[Link]) -> bool:
     return not violated_cuts(inst, selected)
 
 
-def covers(inst: Instance, selected: Iterable[Link]) -> bool:
-    """Coverage via min cut of the augmented graph, no cut enumeration.
+def _root(parent: list[int], v: int) -> int:
+    """Union-find root of v, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
-    Each selected link is added with multiplicity k, which covers every
-    small cut it crosses and creates no new small cut.  Selected links
-    cannot rescue an isolated-by-degree node they do not touch, so the
-    cheap per-node degree screen runs first.
+
+def covers(inst: Instance, selected: Iterable[Link]) -> bool:
+    """Coverage as "min cut of G + k*F is at least k", no cut enumeration.
+
+    A per-node degree screen runs first.  No cut below k separates the ends
+    of a selected link (a capacity-k edge in G + k*F), so contracting them
+    keeps every cut below k.  Every Stoer-Wagner phase is a real cut and the
+    least is the min cut, so the first phase below k answers False.
     """
     sel = list(selected)
     g = inst.graph
     k = inst.k
-    if g.n < 2:
+    n = g.n
+    if n < 2:
         return True
-    touched = [0] * g.n
+    touched = [0] * n
     for ln in sel:
         touched[ln.u] = 1
         touched[ln.v] = 1
-    for v in range(g.n):
+    for v in range(n):
         if not touched[v] and g.node_degree(v) < k:
             return False
-    aug_edges = list(g.edges) + [(ln.u, ln.v, k) for ln in sel]
-    aug = MultiGraph(g.n, aug_edges)
-    value, _ = global_min_cut(aug)
-    return value >= k
+    parent = list(range(n))
+    for ln in sel:
+        parent[_root(parent, ln.u)] = _root(parent, ln.v)
+    index: dict[int, int] = {}
+    group = [index.setdefault(_root(parent, v), len(index)) for v in range(n)]
+    w = [[0] * len(index) for _ in index]
+    for u, v, m in g.edges:
+        a, b = group[u], group[v]
+        if a != b:
+            w[a][b] += m
+            w[b][a] += m
+    return all(value >= k for value, _ in min_cut_phases(w))
 
 
 def is_minimal_cover(inst: Instance, selected: Sequence[Link]) -> bool:

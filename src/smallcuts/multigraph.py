@@ -8,7 +8,7 @@ sums and min-cut phases run over stored records, not repeated edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParameterError
 
@@ -183,13 +183,23 @@ def _min_cut_phase(w: list[list[int]], active: list[int], merged: list[int]) -> 
     return phase_weight, mask
 
 
+def min_cut_phases(w: list[list[int]]) -> Iterator[tuple[int, int]]:
+    """Stoer-Wagner phases over the symmetric matrix `w`, contracted in place:
+    yields (value, mask of the last supernode over the rows of `w`) per
+    phase.  Each value is a real cut's and the least is the global min cut."""
+    merged = [1 << i for i in range(len(w))]  # rows absorbed into supernode i
+    active = list(range(len(w)))
+    while len(active) > 1:
+        yield _min_cut_phase(w, active, merged)
+
+
 def global_min_cut(g: MultiGraph) -> tuple[int, Cut]:
     """Exact global minimum cut by Stoer-Wagner over multiplicities.
 
     Returns (value, witness) with witness normalized to the side containing
     node 0.  A disconnected graph has value 0 with the component of node 0
     as witness.  Deterministic: ties in the maximum-adjacency order are
-    broken by smallest node id.
+    broken by smallest node id, and the first minimal phase wins.
     """
     n = g.n
     if n < 2:
@@ -203,13 +213,7 @@ def global_min_cut(g: MultiGraph) -> tuple[int, Cut]:
     for u, v, m in g.edges:
         w[u][v] = m
         w[v][u] = m
-    merged = [1 << i for i in range(n)]  # original nodes absorbed into supernode i
-    active = list(range(n))
-    best_value, best_mask = _min_cut_phase(w, active, merged)
-    while len(active) > 1:
-        value, mask = _min_cut_phase(w, active, merged)
-        if value < best_value:
-            best_value, best_mask = value, mask
+    best_value, best_mask = min(min_cut_phases(w), key=lambda phase: phase[0])
     if not best_mask & 1:
         best_mask ^= full
     return best_value, Cut(best_mask, n)

@@ -8,6 +8,7 @@ and every rational written as an exact "num/den" string.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any
 
@@ -19,7 +20,15 @@ from .wgmv import RunResult, cost_of
 
 
 def fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    """Exact "num/den" text at any size: int-to-str stops at Python's digit
+    limit (4300 by default), the Decimal conversion does not, and both give
+    the same digits."""
+    return f"{Decimal(value.numerator)}/{Decimal(value.denominator)}"
+
+
+def fraction_text(value: Fraction) -> str:
+    """`str(value)` ("3", "5/2") by way of `fraction_str`, so at any size."""
+    return fraction_str(value).removesuffix("/1")
 
 
 def canonical_text(obj: Any) -> str:
@@ -184,6 +193,6 @@ def to_dot(inst: Instance) -> str:
         lines.append(f'  {u} -- {v} [color=green, label="{m}"];')
     for ln in inst.links:
         color = ln.tag if ln.tag in ("red", "blue") else "gray"
-        lines.append(f'  {ln.u} -- {ln.v} [color={color}, style=dashed, label="{ln.cost}"];')
+        lines.append(f'  {ln.u} -- {ln.v} [color={color}, style=dashed, label="{fraction_text(ln.cost)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

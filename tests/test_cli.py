@@ -332,3 +332,25 @@ def test_malformed_numbers_exit_3(command, field, tmp_path, capsys):
     assert main([command, str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_solve_prints_totals_past_the_digit_limit(trace, tmp_path, capsys):
+    """Each cost parses, but their sum has a 4401-digit denominator, past
+    the 4300 digits Python converts from int to str by default."""
+    big = "1" + "0" * 2200
+    obj = json.loads(instance_to_text(Instance(MultiGraph(3, []), 1, ())))
+    obj["links"] = [
+        {"u": 0, "v": 1, "cost": f"1/{big[:-1]}1", "tag": None},
+        {"u": 1, "v": 2, "cost": f"1/{big[:-1]}3", "tag": None},
+    ]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    # 1/(10^2200+1) + 1/(10^2200+3) = (2*10^2200+4)/(10^4400+4*10^2200+3), already in lowest terms
+    total = "2" + "0" * 2199 + "4/1" + "0" * 2199 + "4" + "0" * 2199 + "3"
+    argv = ["solve", str(path)] + (["--trace", str(tmp_path / "t.json")] if trace else [])
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert f"\ncost {total}, dual " in out
+    if trace:
+        assert json.loads((tmp_path / "t.json").read_text())["cost"] == total

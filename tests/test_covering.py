@@ -17,7 +17,7 @@ from smallcuts.covering import (
     violated_cuts,
 )
 from smallcuts.errors import BoundExceededError, InvalidParameterError
-from smallcuts.multigraph import Cut, MultiGraph, cut_degree
+from smallcuts.multigraph import Cut, MultiGraph, cut_degree, global_min_cut
 
 GADGET_EDGES = [(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 4, 2), (4, 5, 1), (5, 6, 2)]
 LABELS = ["t", "a", "x", "y", "z", "b", "r"]
@@ -180,6 +180,67 @@ def test_covers_random_equivalence():
         inst = Instance(graph=g, k=k, links=links)
         chosen = [ln for ln in links if rng.random() < 0.5]
         assert covers(inst, chosen) == covers_by_enumeration(inst, chosen)
+
+
+def test_covers_matches_min_cut_of_augmented_graph_on_large_instances():
+    """n = 30..60, past enumeration: the verdict equals "min cut of G + k*F
+    is at least k" from a full Stoer-Wagner on the augmented graph.  The
+    base graph is a ring of heavy arcs joined by single edges, so each run
+    of arcs is a small cut that only the selected links can cover."""
+    rng = random.Random(20261018)
+    verdicts = []
+    for _ in range(120):
+        n = rng.randint(30, 60)
+        k = rng.randint(2, 5)
+        joins = set(rng.sample(range(1, n), rng.randint(1, 5)))
+        edges = [(v, v + 1, 1 if v + 1 in joins else k) for v in range(n - 1)] + [(n - 1, 0, 1)]
+        edges += [tuple(rng.sample(range(n), 2)) + (1,) for _ in range(rng.randint(0, 3))]
+        g = MultiGraph(n, edges)
+        chosen = [Link(*rng.sample(range(n), 2), 1) for _ in range(rng.randint(0, 6))]
+        inst = Instance(graph=g, k=k, links=tuple(chosen))
+        aug = MultiGraph(n, list(g.edges) + [(ln.u, ln.v, k) for ln in chosen])
+        want = global_min_cut(aug)[0] >= k
+        assert covers(inst, chosen) == want
+        verdicts.append(want)
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+
+
+def test_covers_past_the_degree_screen_matches_enumeration():
+    """Every node the selection leaves untouched has degree >= k, so the
+    contracted min cut decides.  Nodes fall into up to three blocks, dense
+    inside and sparse or absent between; disconnected base graphs, k = 1
+    and selections that merge every node into one group all occur."""
+    rng = random.Random(4242)
+    verdicts = []
+    disconnected = merged_all = k1_uncovered = 0
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        k = rng.randint(1, 4)
+        block = [rng.randrange(3) for _ in range(n)]
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = [
+            (u, v, rng.randint(1, k + 1) if block[u] == block[v] else 1)
+            for u, v in pairs
+            if rng.random() < (0.6 if block[u] == block[v] else 0.15)
+        ]
+        g = MultiGraph(n, edges)
+        chosen = [Link(u, v, 1) for u, v in pairs if rng.random() < 0.05]
+        touched = {ln.u for ln in chosen} | {ln.v for ln in chosen}
+        for v in range(n):
+            if v not in touched and g.node_degree(v) < k:
+                mates = [u for u in range(n) if u != v and block[u] == block[v]]
+                chosen.append(Link(v, rng.choice(mates or [u for u in range(n) if u != v]), 1))
+        if rng.random() < 0.15:  # a spanning path: one group, no phase left
+            chosen += [Link(v, v + 1, 1) for v in range(n - 1)]
+            merged_all += 1
+        inst = Instance(graph=g, k=k, links=tuple(Link(u, v, 1) for u, v in pairs))
+        want = covers_by_enumeration(inst, chosen)
+        assert covers(inst, chosen) == want
+        verdicts.append(want)
+        disconnected += global_min_cut(g)[0] == 0
+        k1_uncovered += k == 1 and not want
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 80
+    assert disconnected >= 100 and merged_all >= 30 and k1_uncovered >= 5
 
 
 def test_cores_bruteforce_gadget():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallcuts.errors import InvalidParameterError
-from smallcuts.multigraph import Cut, MultiGraph, cut_degree, global_min_cut
+from smallcuts.multigraph import Cut, MultiGraph, cut_degree, global_min_cut, min_cut_phases
 
 # 7-node instance used as a fixed reference throughout: the q=1, k=3 build.
 # Edge list written out by hand so these tests do not depend on the generator.
@@ -171,6 +171,31 @@ def test_min_cut_matches_enumeration_on_random_graphs():
         assert value == _enum_min_cut(g)
         assert cut_degree(g, witness) == value
         assert witness.contains(0)
+
+
+def test_min_cut_and_every_phase_match_brute_force_up_to_10_nodes():
+    """The value is the minimum over all cuts and the witness attains it
+    with node 0 inside; every phase of the loop is the capacity of a real
+    cut, which is what lets `covers` stop at the first phase below k."""
+    rng = random.Random(1997)
+    for _ in range(150):
+        n = rng.randint(2, 10)
+        density = rng.choice([0.2, 0.5, 0.8])
+        edges = [
+            (u, v, rng.randint(1, 5)) for u, v in itertools.combinations(range(n), 2) if rng.random() < density
+        ]
+        g = MultiGraph(n, edges)
+        cuts = [cut_degree(g, Cut(mask, n)) for mask in range(1, (1 << n) - 1)]
+        value, witness = global_min_cut(g)
+        assert value == min(cuts)
+        assert cut_degree(g, witness) == value and witness.contains(0)
+        w = [[0] * n for _ in range(n)]
+        for u, v, m in g.edges:
+            w[u][v] = w[v][u] = m
+        phases = list(min_cut_phases(w))
+        assert len(phases) == n - 1
+        assert all(cut_degree(g, Cut(mask, n)) == phase for phase, mask in phases)
+        assert min(phase for phase, _ in phases) == min(cuts)
 
 
 @st.composite

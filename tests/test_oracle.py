@@ -247,6 +247,13 @@ def test_gap_experiment_values():
     assert three.ratio == 3
 
 
+def test_gap_experiment_at_p_32():
+    """n = 131: reverse delete's coverage tests run past enumeration."""
+    res = gap_experiment(generate_instance(1, 32, 65))
+    assert res.ratio == Fraction(80, 17)
+    assert res.opt_is_analytic
+
+
 def test_gap_experiment_perturbed_optimum_is_exact():
     res = gap_experiment(generate_instance(1, 2, 5, Fraction(1, 100)), TiePolicy.HELPFUL)
     # cheapest perturbed cover swaps rz out for a single y_i r link
