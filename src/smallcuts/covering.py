@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import BoundExceededError, InvalidParameterError, VerificationError, require_int
-from .multigraph import Cut, MultiGraph, min_cut_phases
+from .multigraph import Cut, MultiGraph, _groups, _weights, min_cut_phases
 
 LINK_TAGS = (None, "red", "blue")
 
@@ -149,17 +149,13 @@ def _cut_degrees(g: MultiGraph) -> list[int]:
     """
     m = g.n - 1
     deg = [g.node_degree(v) for v in range(m)]
-    inner = [[0] * m for _ in range(m)]
-    for u, v, mult in g.edges:
-        if v < m:  # edges are stored with u < v
-            inner[u][v] = mult
-            inner[v][u] = mult
+    w = _weights(g, range(g.n), g.n)
     dp = [0] * (1 << m)
     for mask in range(1, 1 << m):
         low = (mask & -mask).bit_length() - 1
         prev = mask & (mask - 1)
         cross = 0
-        row = inner[low]
+        row = w[low]
         rest = prev
         while rest:
             j = (rest & -rest).bit_length() - 1
@@ -197,14 +193,6 @@ def covers_by_enumeration(inst: Instance, selected: Iterable[Link]) -> bool:
     return not violated_cuts(inst, selected)
 
 
-def _root(parent: list[int], v: int) -> int:
-    """Union-find root of v, halving the path on the way."""
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
-
-
 def covers(inst: Instance, selected: Iterable[Link]) -> bool:
     """Coverage as "min cut of G + k*F is at least k", no cut enumeration.
 
@@ -226,18 +214,8 @@ def covers(inst: Instance, selected: Iterable[Link]) -> bool:
     for v in range(n):
         if not touched[v] and g.node_degree(v) < k:
             return False
-    parent = list(range(n))
-    for ln in sel:
-        parent[_root(parent, ln.u)] = _root(parent, ln.v)
-    index: dict[int, int] = {}
-    group = [index.setdefault(_root(parent, v), len(index)) for v in range(n)]
-    w = [[0] * len(index) for _ in index]
-    for u, v, m in g.edges:
-        a, b = group[u], group[v]
-        if a != b:
-            w[a][b] += m
-            w[b][a] += m
-    return all(value >= k for value, _ in min_cut_phases(w))
+    group, size = _groups(n, ((ln.u, ln.v) for ln in sel))
+    return all(value >= k for value, _ in min_cut_phases(_weights(g, group, size)))
 
 
 def is_minimal_cover(inst: Instance, selected: Sequence[Link]) -> bool:

@@ -68,10 +68,12 @@ class MultiGraph:
     Records with multiplicity zero are dropped (a pair that degenerates to
     zero copies is simply not an edge), self-loops and negative
     multiplicities are rejected, and repeated records for one unordered pair
-    are folded by summing.  Instances are immutable after construction.
+    are folded by summing.  Labels are strings and default to the node ids.
+    Instances are immutable after construction, so node degrees are summed
+    once here.
     """
 
-    __slots__ = ("n", "edges", "labels", "_adj")
+    __slots__ = ("n", "edges", "labels", "_degrees")
 
     def __init__(
         self,
@@ -85,7 +87,7 @@ class MultiGraph:
             raise InvalidParameterError(f"graph needs at least 1 node, got n={n}")
         folded: dict[tuple[int, int], int] = {}
         for u, v, mult in edges:
-            # checked inline, not with require_int: covers builds a graph per call
+            # checked inline, not with require_int, so one message names the whole record
             if type(u) is not int or type(v) is not int or type(mult) is not int:
                 raise InvalidParameterError(
                     f"node ids and multiplicities must be integers, got edge ({u!r},{v!r},{mult!r})"
@@ -104,32 +106,28 @@ class MultiGraph:
         self.edges: tuple[tuple[int, int, int], ...] = tuple(
             (u, v, m) for (u, v), m in sorted(folded.items())
         )
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise InvalidParameterError(f"expected {n} labels, got {len(labels)}")
-        self.labels = labels
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        labels = tuple(map(str, range(n))) if labels is None else tuple(labels)
+        if len(labels) != n:
+            raise InvalidParameterError(f"expected {n} labels, got {len(labels)}")
+        for v, label in enumerate(labels):
+            if type(label) is not str:
+                raise InvalidParameterError(f"node {v} label must be a string, got {label!r}")
+        self.labels: tuple[str, ...] = labels
+        degrees = [0] * n
         for u, v, m in self.edges:
-            adj[u].append((v, m))
-            adj[v].append((u, m))
-        self._adj = tuple(tuple(a) for a in adj)
-
-    def adjacency(self, v: int) -> tuple[tuple[int, int], ...]:
-        """Neighbors of v as (node, multiplicity) pairs."""
-        return self._adj[v]
+            degrees[u] += m
+            degrees[v] += m
+        self._degrees = tuple(degrees)
 
     def node_degree(self, v: int) -> int:
-        return sum(m for _, m in self._adj[v])
+        return self._degrees[v]
 
     def multiplicity(self, u: int, v: int) -> int:
-        for w, m in self._adj[u]:
-            if w == v:
-                return m
-        return 0
+        key = (u, v) if u < v else (v, u)
+        return next((m for a, b, m in self.edges if (a, b) == key), 0)
 
     def label_of(self, v: int) -> str:
-        return self.labels[v] if self.labels is not None else str(v)
+        return self.labels[v]
 
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, edges={len(self.edges)})"
@@ -147,50 +145,62 @@ def cut_degree(g: MultiGraph, s: Cut) -> int:
     return sum(m for u, v, m in g.edges if (mask >> u & 1) != (mask >> v & 1))
 
 
-def _component_mask(g: MultiGraph, start: int) -> int:
-    seen = 1 << start
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u, _ in g.adjacency(v):
-            if not seen >> u & 1:
-                seen |= 1 << u
-                stack.append(u)
-    return seen
+def _root(parent: list[int], v: int) -> int:
+    """Union-find root of v, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
 
 
-def _min_cut_phase(w: list[list[int]], active: list[int], merged: list[int]) -> tuple[int, int]:
-    """One maximum-adjacency phase: returns the cut-of-the-phase value and
-    the mask of the last supernode, then merges it into the one before."""
-    start = active[0]
-    in_a = {start}
-    weight = {v: w[start][v] for v in active if v != start}
-    last, prev = start, start
-    while len(in_a) < len(active):
-        v = max(weight, key=lambda x: (weight[x], -x))
-        prev, last = last, v
-        in_a.add(v)
-        phase_weight = weight.pop(v)
-        for u in weight:
-            weight[u] += w[v][u]
-    mask = merged[last]
-    merged[prev] |= merged[last]
-    active.remove(last)
-    for u in active:
-        if u != prev:
-            w[prev][u] += w[last][u]
-            w[u][prev] = w[prev][u]
-    return phase_weight, mask
+def _groups(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Union-find over nodes 0..n-1 merging the ends of each pair: a dense
+    group id per node, numbered by each group's first node, and the count."""
+    parent = list(range(n))
+    for u, v in pairs:
+        parent[_root(parent, u)] = _root(parent, v)
+    index: dict[int, int] = {}
+    group = [index.setdefault(_root(parent, v), len(index)) for v in range(n)]
+    return group, len(index)
+
+
+def _weights(g: MultiGraph, group: Sequence[int], size: int) -> list[list[int]]:
+    """Symmetric size x size matrix of the multiplicity between groups;
+    edges inside a group are dropped."""
+    w = [[0] * size for _ in range(size)]
+    for u, v, m in g.edges:
+        a, b = group[u], group[v]
+        if a != b:
+            w[a][b] += m
+            w[b][a] += m
+    return w
 
 
 def min_cut_phases(w: list[list[int]]) -> Iterator[tuple[int, int]]:
     """Stoer-Wagner phases over the symmetric matrix `w`, contracted in place:
     yields (value, mask of the last supernode over the rows of `w`) per
-    phase.  Each value is a real cut's and the least is the global min cut."""
+    phase.  Each value is a real cut's and the least is the global min cut.
+    A phase adds rows in maximum-adjacency order, ties to the smallest row,
+    and merges the last row into the one before it."""
     merged = [1 << i for i in range(len(w))]  # rows absorbed into supernode i
     active = list(range(len(w)))
     while len(active) > 1:
-        yield _min_cut_phase(w, active, merged)
+        start = active[0]
+        weight = {v: w[start][v] for v in active[1:]}
+        last = prev = start
+        while weight:
+            v = max(weight, key=lambda x: (weight[x], -x))
+            prev, last = last, v
+            value = weight.pop(v)
+            for u in weight:
+                weight[u] += w[v][u]
+        merged[prev] |= merged[last]
+        active.remove(last)
+        for u in active:
+            if u != prev:
+                w[prev][u] += w[last][u]
+                w[u][prev] = w[prev][u]
+        yield value, merged[last]
 
 
 def global_min_cut(g: MultiGraph) -> tuple[int, Cut]:
@@ -204,16 +214,11 @@ def global_min_cut(g: MultiGraph) -> tuple[int, Cut]:
     n = g.n
     if n < 2:
         raise InvalidParameterError("global minimum cut needs at least 2 nodes")
+    group, size = _groups(n, ((u, v) for u, v, _ in g.edges))
+    if size > 1:
+        return 0, Cut(sum(1 << v for v in range(n) if group[v] == 0), n)
     full = (1 << n) - 1
-    comp = _component_mask(g, 0)
-    if comp != full:
-        return 0, Cut(comp, n)
-
-    w = [[0] * n for _ in range(n)]
-    for u, v, m in g.edges:
-        w[u][v] = m
-        w[v][u] = m
-    best_value, best_mask = min(min_cut_phases(w), key=lambda phase: phase[0])
+    best_value, best_mask = min(min_cut_phases(_weights(g, range(n), n)), key=lambda phase: phase[0])
     if not best_mask & 1:
         best_mask ^= full
     return best_value, Cut(best_mask, n)

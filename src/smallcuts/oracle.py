@@ -36,7 +36,7 @@ from .tightgen import (
     generate_instance,
     unique_covers,
 )
-from .wgmv import RunResult, TiePolicy, dual_feasible, run
+from .wgmv import RunResult, TiePolicy, cost_of, dual_feasible, run
 
 DEFAULT_LINK_BOUND = 20
 
@@ -278,27 +278,27 @@ def gap_experiment(
 
     Phase 1 starts from the closed-form cores of `labeled.params`.  The
     optimum is enumerated when the link count is within bound.  Above the
-    bound the exact-cost family still has a closed-form optimum p+2, used
-    only in the unperturbed case and flagged as analytic.
+    bound it is certified, and flagged as analytic: when the feasible dual's
+    objective equals the cost of the blue links and they cover, weak duality
+    makes that cost the optimum.  Otherwise BoundExceededError is raised.
     """
     params = labeled.params
     inst = labeled.instance
     result = run(inst, policy=policy, first_cores=analytic_cores(params))
     alg_cost = result.final_cost(inst)
-    if len(inst.links) <= DEFAULT_LINK_BOUND:
-        opt_cost, _ = brute_force_optimum(inst)
-        analytic = False
-    elif params.epsilon == 0:
-        opt_cost = Fraction(params.p + 2)
-        analytic = True
-    else:
-        raise BoundExceededError(
-            f"{len(inst.links)} links exceed the bound {DEFAULT_LINK_BOUND} and the perturbed "
-            "variant has no closed-form optimum here"
-        )
     dual_obj = result.dual.objective()
     if not dual_feasible(inst, result.dual):
         raise VerificationError("phase 1 produced an infeasible dual")
+    analytic = len(inst.links) > DEFAULT_LINK_BOUND
+    if analytic:
+        opt_cost = cost_of(inst, labeled.blue_links)
+        if opt_cost != dual_obj or not covers(inst, labeled.blue()):
+            raise BoundExceededError(
+                f"{len(inst.links)} links exceed the bound {DEFAULT_LINK_BOUND} and the dual "
+                "objective does not certify the blue links as an optimal cover"
+            )
+    else:
+        opt_cost, _ = brute_force_optimum(inst)
     if dual_obj > opt_cost:
         raise VerificationError(f"dual objective {dual_obj} exceeds the optimum {opt_cost}")
     if alg_cost > 5 * dual_obj:

@@ -87,9 +87,9 @@ def test_solve_trivial_instance(tmp_path, capsys):
 
 def test_solve_infeasible_exit_2(tmp_path, capsys):
     path = _write(tmp_path, "g.json")
-    obj = json.loads(open(path).read())
+    obj = json.loads(Path(path).read_text())
     obj["links"] = []
-    open(path, "w").write(json.dumps(obj))
+    Path(path).write_text(json.dumps(obj))
     assert main(["solve", path]) == 2
 
 
@@ -120,11 +120,11 @@ def test_verify_instance_file_ok(tmp_path, capsys):
 
 def test_verify_corrupted_instance_exit_1(tmp_path, capsys):
     path = _write(tmp_path, "g.json")
-    obj = json.loads(open(path).read())
+    obj = json.loads(Path(path).read_text())
     for e in obj["edges"]:
         if {e["u"], e["v"]} == {9, 10}:
             e["mult"] += 1
-    open(path, "w").write(json.dumps(obj))
+    Path(path).write_text(json.dumps(obj))
     assert main(["verify", path]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -304,7 +304,7 @@ def test_verify_ignores_node_labels(relabel, tmp_path, capsys):
     path = _write(tmp_path, "g.json")
     assert main(["verify", path]) == 0
     want = capsys.readouterr().out
-    obj = json.loads(open(path).read())
+    obj = json.loads(Path(path).read_text())
     labels = [node["label"] for node in obj["nodes"]]
     if relabel == "rename_r":
         labels = ["R" if lb == "r" else lb for lb in labels]

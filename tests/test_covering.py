@@ -6,6 +6,7 @@ import pytest
 
 from smallcuts.covering import (
     Instance,
+    _cut_degrees,
     Link,
     as_cost,
     cores_bruteforce,
@@ -137,6 +138,28 @@ def test_violated_cuts_empty_selection_matches_inline_enumeration():
     assert got == _small_cuts_avoiding_root(inst)
     # {t}, A={t,a}, X, Y, C={x,y,z}, C u A, and V minus {r}
     assert len(got) == 7
+
+
+def test_cut_degree_table_matches_cut_degree_on_random_graphs():
+    """Every mask of the table, not only those below k, on graphs that are
+    often disconnected or leave the last node isolated."""
+    rng = random.Random(2046)
+    disconnected = isolated_last = 0
+    for trial in range(120):
+        n = rng.randint(2, 12)
+        density = rng.choice([0.1, 0.3, 0.6, 0.9])
+        edges = [
+            (u, v, rng.randint(1, 6)) for u, v in itertools.combinations(range(n), 2) if rng.random() < density
+        ]
+        if trial % 3 == 0:
+            edges = [(u, v, m) for u, v, m in edges if v != n - 1]
+        g = MultiGraph(n, edges)
+        dp = _cut_degrees(g)
+        assert len(dp) == 1 << (n - 1) and dp[0] == 0
+        assert all(dp[mask] == cut_degree(g, Cut(mask, n)) for mask in range(1, 1 << (n - 1)))
+        disconnected += global_min_cut(g)[0] == 0
+        isolated_last += g.node_degree(n - 1) == 0
+    assert disconnected >= 40 and isolated_last >= 40
 
 
 def test_violated_cuts_sorted_and_selection_aware():

@@ -88,6 +88,14 @@ def test_labels():
     assert g.label_of(0) == "t"
     unlabeled = MultiGraph(2, [(0, 1, 1)])
     assert unlabeled.label_of(1) == "1"
+    assert unlabeled.labels == ("0", "1")
+
+
+@pytest.mark.parametrize("labels", [[1, 2], ["a", None], ("a", b"b")])
+def test_multigraph_rejects_non_string_labels(labels):
+    # such a graph could be written but not read back, or printed as dot
+    with pytest.raises(InvalidParameterError, match="label must be a string"):
+        MultiGraph(2, [(0, 1, 1)], labels=labels)
 
 
 def test_gadget_degrees():
@@ -128,10 +136,16 @@ def test_global_min_cut_two_nodes():
 
 
 def test_global_min_cut_disconnected():
-    g = MultiGraph(4, [(0, 1, 2), (2, 3, 5)])
-    value, witness = global_min_cut(g)
-    assert value == 0
-    assert witness.nodes() == (0, 1)
+    cases = [
+        (4, [(0, 1, 2), (2, 3, 5)], (0, 1)),
+        (6, [(0, 3, 1), (1, 4, 2), (2, 5, 1)], (0, 3)),
+        (5, [(1, 2, 1), (3, 4, 2)], (0,)),
+        (7, [(4, 6, 1), (0, 6, 3), (2, 3, 1), (1, 5, 2)], (0, 4, 6)),
+    ]
+    for n, edges, component in cases:
+        value, witness = global_min_cut(MultiGraph(n, edges))
+        assert value == 0
+        assert witness.nodes() == component
 
 
 def test_global_min_cut_single_node_rejected():
@@ -210,6 +224,11 @@ def multigraphs(draw):
 @settings(max_examples=120, deadline=None)
 def test_handshake(g):
     assert sum(g.node_degree(v) for v in range(g.n)) == 2 * sum(m for _, _, m in g.edges)
+    records = {(u, v): m for u, v, m in g.edges}
+    for v in range(g.n):
+        assert g.node_degree(v) == sum(m for (a, b), m in records.items() if v in (a, b))
+    for u, v in itertools.combinations(range(g.n), 2):
+        assert g.multiplicity(u, v) == g.multiplicity(v, u) == records.get((u, v), 0)
 
 
 @given(multigraphs(), st.integers(min_value=1))

@@ -254,6 +254,19 @@ def test_gap_experiment_at_p_32():
     assert res.opt_is_analytic
 
 
+def test_gap_experiment_past_the_link_bound_needs_a_certificate():
+    """Above 20 links the optimum is the dual objective only when it equals
+    the cost of a blue cover; otherwise the experiment refuses."""
+    lab = generate_instance(1, 5, 11)
+    res = gap_experiment(lab)
+    assert (res.opt_cost, res.dual_obj, res.opt_is_analytic) == (7, 7, True)
+    swapped = dataclasses.replace(lab, red_links=lab.blue_links, blue_links=lab.red_links)
+    with pytest.raises(BoundExceededError, match="does not certify"):
+        gap_experiment(swapped)
+    with pytest.raises(BoundExceededError, match="does not certify"):
+        gap_experiment(generate_instance(1, 5, 11, "1/100"))
+
+
 def test_gap_experiment_perturbed_optimum_is_exact():
     res = gap_experiment(generate_instance(1, 2, 5, Fraction(1, 100)), TiePolicy.HELPFUL)
     # cheapest perturbed cover swaps rz out for a single y_i r link
