@@ -2,10 +2,11 @@
 
 A cut S is *small* when its crossing multiplicity in the base graph is below
 the threshold k.  A link covers S when exactly one of its endpoints lies in
-S.  A set of links is a cover when every small cut is covered; equivalently,
-adding each selected link as a capacity-k edge lifts the global minimum cut
-of the augmented graph to at least k, which `covers` tests at any size by
-contraction and Stoer-Wagner phases, with no enumeration.
+S, so the cuts a selection leaves uncovered are those of the base graph with
+each selected link's endpoints contracted.  A set of links is a cover when
+every small cut is covered; equivalently, the contracted graph has no cut
+below k.  `covers` tests that at any size with Stoer-Wagner phases, and
+`violated_cuts` enumerates the contracted graph's small cuts.
 """
 
 from __future__ import annotations
@@ -122,9 +123,7 @@ class Instance:
         links = tuple(self.links)
         for ln in links:
             if ln.u >= self.graph.n or ln.v >= self.graph.n:
-                raise InvalidParameterError(
-                    f"link ({ln.u},{ln.v}) endpoints out of range for {self.graph.n} nodes"
-                )
+                raise _out_of_range(ln, self.graph.n)
         object.__setattr__(self, "links", links)
 
     @property
@@ -136,20 +135,26 @@ class Instance:
         return self.n - 1
 
 
+def _out_of_range(ln: Link, n: int) -> InvalidParameterError:
+    return InvalidParameterError(f"link ({ln.u},{ln.v}) endpoints out of range for {n} nodes")
+
+
 def link_crosses(link: Link, s: Cut) -> bool:
     return s.contains(link.u) != s.contains(link.v)
 
 
-def _cut_degrees(g: MultiGraph) -> list[int]:
-    """Crossing multiplicity for every node subset avoiding the last node.
+def _fmt_cut(s: Cut, inst: Instance) -> str:
+    return "{" + ",".join(inst.graph.label_of(v) for v in s.nodes()) + "}"
 
-    Returns dp indexed by node masks over 0..n-2.  dp[mask | lowbit] extends
-    dp[mask] by one node in O(n) via the identity
-    d(S + v) = d(S) + deg(v) - 2 * mult(v, S).
+
+def _cut_degrees(w: list[list[int]]) -> list[int]:
+    """Cut weight of every subset of the rows of `w` avoiding its last row.
+
+    `w` is as `_weights` builds it, so a row's degree is its sum.  dp[mask |
+    lowbit] extends dp[mask] by one row via d(S + v) = d(S) + deg(v) - 2w(v, S).
     """
-    m = g.n - 1
-    deg = [g.node_degree(v) for v in range(m)]
-    w = _weights(g, range(g.n), g.n)
+    m = len(w) - 1
+    deg = [sum(row) for row in w]
     dp = [0] * (1 << m)
     for mask in range(1, 1 << m):
         low = (mask & -mask).bit_length() - 1
@@ -166,24 +171,29 @@ def _cut_degrees(g: MultiGraph) -> list[int]:
 
 
 def violated_cuts(inst: Instance, selected: Iterable[Link]) -> list[Cut]:
-    """All small cuts not covered by `selected`, one representative per side.
+    """All small cuts not covered by `selected`, one side per cut.
 
-    Exhaustive over subsets avoiding the root `inst.default_root()`, the
-    last node, so each cut appears as the side excluding it.  Results
+    The cuts no selected link crosses are exactly the unions of the groups
+    that merge each link's endpoints, so these are the small cuts of the
+    contracted graph: tabulated over the groups avoiding the root
+    `inst.default_root()`, the last node, and lifted to node sets.  Results
     sorted by (size, mask).
     """
     n = inst.n
     _check_enum_ok(n, "violated_cuts")
-    dp = _cut_degrees(inst.graph)
-    nonroot = (1 << (n - 1)) - 1
-    epmasks = [(1 << ln.u | 1 << ln.v) & nonroot for ln in selected]
+    pairs = []
+    for ln in selected:
+        if ln.u >= n or ln.v >= n:
+            raise _out_of_range(ln, n)
+        pairs.append((ln.u, ln.v))
+    group, size = _groups(n, pairs)
+    last, root = size - 1, group[inst.default_root()]
+    group = [last if x == root else root if x == last else x for x in group]  # root's group last
+    dp = _cut_degrees(_weights(inst.graph, group, size))
     out = []
-    for mask in range(1, 1 << (n - 1)):
-        if dp[mask] >= inst.k:
-            continue
-        if any((mask & ep).bit_count() == 1 for ep in epmasks):
-            continue
-        out.append(Cut(mask, n))
+    for mask in range(1, len(dp)):
+        if dp[mask] < inst.k:
+            out.append(Cut(sum(1 << v for v in range(n) if mask >> group[v] & 1), n))
     out.sort(key=lambda s: (s.size(), s.mask))
     return out
 
@@ -205,12 +215,15 @@ def covers(inst: Instance, selected: Iterable[Link]) -> bool:
     g = inst.graph
     k = inst.k
     n = g.n
+    touched = [0] * n
+    try:  # endpoints are nonnegative, so only one past the last node raises
+        for ln in sel:
+            touched[ln.u] = 1
+            touched[ln.v] = 1
+    except IndexError:
+        raise _out_of_range(ln, n) from None
     if n < 2:
         return True
-    touched = [0] * n
-    for ln in sel:
-        touched[ln.u] = 1
-        touched[ln.v] = 1
     for v in range(n):
         if not touched[v] and g.node_degree(v) < k:
             return False

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .covering import (
     Instance,
+    _fmt_cut,
     covers,
     is_minimal_cover,
     link_crosses,
@@ -151,10 +152,6 @@ def _cheapest_cover_of_size(
             best = (total, tuple(chosen))
         chosen.pop()
     return best
-
-
-def _fmt_cut(s: Cut, inst: Instance) -> str:
-    return "{" + ",".join(inst.graph.label_of(v) for v in s.nodes()) + "}"
 
 
 def _fmt_cuts(cuts: Sequence[Cut], inst: Instance) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .covering import Instance, Link, cores_bruteforce, covers, link_crosses
+from .covering import Instance, Link, _fmt_cut, cores_bruteforce, covers, link_crosses
 from .errors import InfeasibleError, VerificationError
 from .multigraph import Cut, cut_degree
 
@@ -144,7 +144,7 @@ def phase1(
         for s in cores:
             if not any(link_crosses(links[i], s) for i in remaining):
                 raise InfeasibleError(
-                    f"small cut {s} is crossed by no available link; no feasible cover exists"
+                    f"small cut {_fmt_cut(s, inst)} is crossed by no available link; no feasible cover exists"
                 )
         delta = min(
             (links[i].cost - load[i]) / c

@@ -91,6 +91,8 @@ def test_solve_infeasible_exit_2(tmp_path, capsys):
     obj["links"] = []
     Path(path).write_text(json.dumps(obj))
     assert main(["solve", path]) == 2
+    # the stranded cut is named by its labels, as verify names cuts
+    assert "small cut {t1} is crossed by no available link" in capsys.readouterr().err
 
 
 def test_solve_missing_file_exit_3(capsys):

@@ -18,7 +18,8 @@ from smallcuts.covering import (
     violated_cuts,
 )
 from smallcuts.errors import BoundExceededError, InvalidParameterError
-from smallcuts.multigraph import Cut, MultiGraph, cut_degree, global_min_cut
+from smallcuts.multigraph import Cut, MultiGraph, _groups, _weights, cut_degree, global_min_cut
+from smallcuts.tightgen import generate_instance
 
 GADGET_EDGES = [(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 4, 2), (4, 5, 1), (5, 6, 2)]
 LABELS = ["t", "a", "x", "y", "z", "b", "r"]
@@ -142,9 +143,12 @@ def test_violated_cuts_empty_selection_matches_inline_enumeration():
 
 def test_cut_degree_table_matches_cut_degree_on_random_graphs():
     """Every mask of the table, not only those below k, on graphs that are
-    often disconnected or leave the last node isolated."""
+    often disconnected or leave the last node isolated; then on the same
+    graph with nodes grouped at random, where each row mask's entry is the
+    cut degree of the nodes its groups make up."""
     rng = random.Random(2046)
-    disconnected = isolated_last = 0
+    group_rng = random.Random(2047)
+    disconnected = isolated_last = grouped = 0
     for trial in range(120):
         n = rng.randint(2, 12)
         density = rng.choice([0.1, 0.3, 0.6, 0.9])
@@ -154,12 +158,20 @@ def test_cut_degree_table_matches_cut_degree_on_random_graphs():
         if trial % 3 == 0:
             edges = [(u, v, m) for u, v, m in edges if v != n - 1]
         g = MultiGraph(n, edges)
-        dp = _cut_degrees(g)
+        dp = _cut_degrees(_weights(g, range(n), n))
         assert len(dp) == 1 << (n - 1) and dp[0] == 0
         assert all(dp[mask] == cut_degree(g, Cut(mask, n)) for mask in range(1, 1 << (n - 1)))
         disconnected += global_min_cut(g)[0] == 0
         isolated_last += g.node_degree(n - 1) == 0
-    assert disconnected >= 40 and isolated_last >= 40
+        pairs = [tuple(group_rng.sample(range(n), 2)) for _ in range(group_rng.randint(0, n - 1))]
+        group, size = _groups(n, pairs)
+        dp = _cut_degrees(_weights(g, group, size))
+        assert len(dp) == 1 << (size - 1) and dp[0] == 0
+        for mask in range(1, 1 << (size - 1)):
+            nodes = [v for v in range(n) if mask >> group[v] & 1]
+            assert dp[mask] == cut_degree(g, Cut.of(nodes, n))
+        grouped += 2 < size < n
+    assert disconnected >= 40 and isolated_last >= 40 and grouped >= 40
 
 
 def test_violated_cuts_sorted_and_selection_aware():
@@ -315,6 +327,54 @@ def test_cores_match_definition_on_random_instances():
         chosen = [ln for ln in links if rng.random() < 0.5]
         want = [Cut(m, n) for m in _cores_by_definition(inst, chosen)]
         assert cores_bruteforce(inst, chosen) == want
+
+
+def _uncovered_small_cuts(inst: Instance, chosen) -> list[Cut]:
+    """Every proper subset avoiding the last node that is small and crossed
+    by no chosen link, from a literal loop; sorted by (size, mask)."""
+    n = inst.n
+    out = []
+    for mask in range(1, 1 << (n - 1)):
+        s = Cut(mask, n)
+        if cut_degree(inst.graph, s) < inst.k and not any(link_crosses(ln, s) for ln in chosen):
+            out.append(s)
+    return sorted(out, key=lambda s: (s.size(), s.mask))
+
+
+def test_violated_cuts_match_literal_reference_on_random_instances():
+    """The contracted enumeration against the definition, on selections that
+    merge the last node into a group, merge every node, or neither."""
+    rng = random.Random(20261019)
+    root_merged = all_merged = disconnected = root_merged_nonempty = 0
+    for _ in range(200):
+        n = rng.randint(2, 10)
+        density = rng.choice([0.15, 0.4, 0.7])
+        edges = [(u, v, rng.randint(1, 3)) for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
+        g = MultiGraph(n, edges)
+        links = tuple(Link(u, v, 1) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.5)
+        inst = Instance(graph=g, k=rng.randint(1, 6), links=links)
+        keep = rng.choice([0.1, 0.3, 0.6, 0.9])
+        chosen = [ln for ln in links if rng.random() < keep]
+        got = violated_cuts(inst, chosen)
+        assert got == _uncovered_small_cuts(inst, chosen)
+        merged = any(n - 1 in (ln.u, ln.v) for ln in chosen)
+        root_merged += merged
+        root_merged_nonempty += merged and bool(got)
+        if global_min_cut(MultiGraph(n, [(ln.u, ln.v, 1) for ln in chosen]))[0] > 0:
+            all_merged += 1
+            assert got == []
+        disconnected += global_min_cut(g)[0] == 0
+    assert root_merged >= 50 and all_merged >= 20 and disconnected >= 30
+    assert root_merged_nonempty >= 20
+
+
+def test_selected_link_outside_instance_rejected():
+    inst = generate_instance(1, 1, 3).instance
+    assert inst.n == 7
+    stray = [Link(0, 99, 1)]
+    for check in (violated_cuts, cores_bruteforce, covers_by_enumeration, covers, is_minimal_cover):
+        with pytest.raises(InvalidParameterError, match="out of range for 7 nodes"):
+            check(inst, stray)
 
 
 def test_is_minimal_cover():
