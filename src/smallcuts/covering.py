@@ -5,8 +5,9 @@ the threshold k.  A link covers S when exactly one of its endpoints lies in
 S, so the cuts a selection leaves uncovered are those of the base graph with
 each selected link's endpoints contracted.  A set of links is a cover when
 every small cut is covered; equivalently, the contracted graph has no cut
-below k.  `covers` tests that at any size with Stoer-Wagner phases, and
-`violated_cuts` enumerates the contracted graph's small cuts.
+below k.  `covers` tests that at any size with Stoer-Wagner phases, the
+first of which below k is an uncovered core, and `violated_cuts`
+enumerates the contracted graph's small cuts.
 """
 
 from __future__ import annotations
@@ -203,13 +204,15 @@ def covers_by_enumeration(inst: Instance, selected: Iterable[Link]) -> bool:
     return not violated_cuts(inst, selected)
 
 
-def covers(inst: Instance, selected: Iterable[Link]) -> bool:
-    """Coverage as "min cut of G + k*F is at least k", no cut enumeration.
+def _uncovered_core(inst: Instance, selected: Iterable[Link]) -> int | None:
+    """Node mask of a core `selected` leaves uncovered, or None if it covers.
 
-    A per-node degree screen runs first.  No cut below k separates the ends
-    of a selected link (a capacity-k edge in G + k*F), so contracting them
-    keeps every cut below k.  Every Stoer-Wagner phase is a real cut and the
-    least is the min cut, so the first phase below k answers False.
+    An untouched node below k is a core by itself.  Otherwise the selected
+    links are contracted, since no uncovered cut separates a link's ends,
+    and Stoer-Wagner phases run until one falls below k.  Each earlier phase
+    merged two rows that no cut below k separates, so every core is a union
+    of rows; the last row of that phase is below k, so it holds a core and
+    is one.
     """
     sel = list(selected)
     g = inst.graph
@@ -223,12 +226,21 @@ def covers(inst: Instance, selected: Iterable[Link]) -> bool:
     except IndexError:
         raise _out_of_range(ln, n) from None
     if n < 2:
-        return True
+        return None
     for v in range(n):
         if not touched[v] and g.node_degree(v) < k:
-            return False
+            return 1 << v
     group, size = _groups(n, ((ln.u, ln.v) for ln in sel))
-    return all(value >= k for value, _ in min_cut_phases(_weights(g, group, size)))
+    for value, rows in min_cut_phases(_weights(g, group, size)):
+        if value < k:
+            return sum(1 << v for v in range(n) if rows >> group[v] & 1)
+    return None
+
+
+def covers(inst: Instance, selected: Iterable[Link]) -> bool:
+    """Whether the min cut of G + k*F is at least k, without enumerating
+    cuts: `selected` covers when it leaves no core uncovered."""
+    return _uncovered_core(inst, selected) is None
 
 
 def is_minimal_cover(inst: Instance, selected: Sequence[Link]) -> bool:

@@ -1,4 +1,4 @@
-"""Capacitated undirected multigraphs, cuts, and exact global minimum cut.
+"""Capacitated undirected multigraphs, cuts, and Stoer-Wagner phases.
 
 Nodes are dense integer ids in [0, n).  Parallel edges are folded into a
 single record per unordered pair carrying an integer multiplicity, so degree
@@ -179,7 +179,8 @@ def _weights(g: MultiGraph, group: Sequence[int], size: int) -> list[list[int]]:
 def min_cut_phases(w: list[list[int]]) -> Iterator[tuple[int, int]]:
     """Stoer-Wagner phases over the symmetric matrix `w`, contracted in place:
     yields (value, mask of the last supernode over the rows of `w`) per
-    phase.  Each value is a real cut's and the least is the global min cut.
+    phase.  Each value is the cut of its mask and the least cut separating
+    the two rows the phase merges, so the least value is the global min cut.
     A phase adds rows in maximum-adjacency order, ties to the smallest row,
     and merges the last row into the one before it."""
     merged = [1 << i for i in range(len(w))]  # rows absorbed into supernode i
@@ -201,24 +202,3 @@ def min_cut_phases(w: list[list[int]]) -> Iterator[tuple[int, int]]:
                 w[prev][u] += w[last][u]
                 w[u][prev] = w[prev][u]
         yield value, merged[last]
-
-
-def global_min_cut(g: MultiGraph) -> tuple[int, Cut]:
-    """Exact global minimum cut by Stoer-Wagner over multiplicities.
-
-    Returns (value, witness) with witness normalized to the side containing
-    node 0.  A disconnected graph has value 0 with the component of node 0
-    as witness.  Deterministic: ties in the maximum-adjacency order are
-    broken by smallest node id, and the first minimal phase wins.
-    """
-    n = g.n
-    if n < 2:
-        raise InvalidParameterError("global minimum cut needs at least 2 nodes")
-    group, size = _groups(n, ((u, v) for u, v, _ in g.edges))
-    if size > 1:
-        return 0, Cut(sum(1 << v for v in range(n) if group[v] == 0), n)
-    full = (1 << n) - 1
-    best_value, best_mask = min(min_cut_phases(_weights(g, range(n), n)), key=lambda phase: phase[0])
-    if not best_mask & 1:
-        best_mask ^= full
-    return best_value, Cut(best_mask, n)

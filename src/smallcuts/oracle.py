@@ -17,6 +17,7 @@ from typing import Sequence
 from .covering import (
     Instance,
     _fmt_cut,
+    _uncovered_core,
     covers,
     is_minimal_cover,
     link_crosses,
@@ -254,22 +255,29 @@ def verify_feasibility_lemma(labeled: LabeledInstance) -> VerifierReport:
             f"red {labeled.red_links}, blue {labeled.blue_links}",
         )
     )
-    checks.append(Check("red is feasible", covers(inst, red)))
-    checks.append(Check("blue is feasible", covers(inst, blue)))
+    for color, links in (("red", red), ("blue", blue)):
+        core = _uncovered_core(inst, links)
+        detail = "" if core is None else f"leaves {_fmt_cut(Cut(core, inst.n), inst)} uncovered"
+        checks.append(Check(f"{color} is feasible", core is None, detail))
     checks.append(Check("red is inclusion-minimal", is_minimal_cover(inst, red)))
     checks.append(Check("blue is inclusion-minimal", is_minimal_cover(inst, blue)))
 
     pools = {"red": labeled.red_links, "blue": labeled.blue_links}
-    for name, cut, color, expect in unique_covers(params):
+    for name, cut, color, expect, ends in unique_covers(params):
         crossing = [i for i in pools[color] if link_crosses(inst.links[i], cut)]
-        checks.append(Check(name, crossing == [expect], f"crossing links {crossing}, expected [{expect}]"))
+        ok = crossing == [expect]
+        detail = f"crossing links {crossing}, expected [{expect}]"
+        if ok and inst.links[expect].endpoints() != ends:
+            ok = False
+            detail += f", but link {expect} joins {_fmt_cut(Cut.of(inst.links[expect].endpoints(), inst.n), inst)}"
+        checks.append(Check(name, ok, detail))
     title = f"feasibility lemma at q={params.q}, p={params.p}, k={params.k}"
     return VerifierReport(title, tuple(checks))
 
 
 def gap_experiment(
     labeled: LabeledInstance,
-    policy: TiePolicy = TiePolicy.ADVERSARIAL,
+    policy: TiePolicy | str = TiePolicy.ADVERSARIAL,
 ) -> GapResult:
     """Run the two-phase algorithm against the exact optimum.
 
@@ -302,7 +310,7 @@ def gap_experiment(
         raise VerificationError(f"cost {alg_cost} exceeds 5 times the dual bound {dual_obj}")
     return GapResult(
         params=params,
-        policy=policy,
+        policy=result.policy,
         alg_cost=alg_cost,
         opt_cost=opt_cost,
         dual_obj=dual_obj,

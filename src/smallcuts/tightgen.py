@@ -145,24 +145,27 @@ def _build(params: GadgetParams) -> LabeledInstance:
     return labeled
 
 
-def unique_covers(params: GadgetParams) -> list[tuple[str, Cut, str, int]]:
-    """Rows (name, cut, color, link index) for the cuts exactly one link of
-    that color crosses.  The indices follow `_build`'s link order: blue t_i b
-    at i and rz at p, then red t_i x_i, a_i y_i, y_i r from p+1+3i."""
+def unique_covers(params: GadgetParams) -> list[tuple[str, Cut, str, int, tuple[int, int]]]:
+    """Rows (name, cut, color, link index, endpoints) for the cuts exactly
+    one link of that color crosses; the endpoints are the ones the name
+    states, ordered as `Link.endpoints` orders them.  The indices follow
+    `_build`'s link order: blue t_i b at i and rz at p, then red t_i x_i,
+    a_i y_i, y_i r from p+1+3i."""
     p = params.p
-    _, _, r = axis(p)
+    z, b, r = axis(p)
     rows = []
     for i in range(p):
         s = _suffix(p, i)
+        t, a, x, y = _gadget_nodes(i)
         t_set, _, x_set, y_set = _gadget_sets(params, i)
         tx = p + 1 + 3 * i
         rows += [
-            (f"only red link covering {{t{s}}} is t{s}x{s}", t_set, "red", tx),
-            (f"only red link covering X{s} is a{s}y{s}", x_set, "red", tx + 1),
-            (f"only red link covering Y{s} is y{s}r", y_set, "red", tx + 2),
-            (f"only blue link covering {{t{s}}} is t{s}b", t_set, "blue", i),
+            (f"only red link covering {{t{s}}} is t{s}x{s}", t_set, "red", tx, (t, x)),
+            (f"only red link covering X{s} is a{s}y{s}", x_set, "red", tx + 1, (a, y)),
+            (f"only red link covering Y{s} is y{s}r", y_set, "red", tx + 2, (y, r)),
+            (f"only blue link covering {{t{s}}} is t{s}b", t_set, "blue", i, (t, b)),
         ]
-    rows.append(("only blue link covering the complement of {r} is rz", Cut.of((r,), params.n), "blue", p))
+    rows.append(("only blue link covering the complement of {r} is rz", Cut.of((r,), params.n), "blue", p, (z, r)))
     return rows
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .covering import Instance, Link, _fmt_cut, cores_bruteforce, covers, link_crosses
-from .errors import InfeasibleError, VerificationError
+from .errors import InfeasibleError, InvalidParameterError, VerificationError
 from .multigraph import Cut, cut_degree
 
 
@@ -35,6 +35,10 @@ class TiePolicy(str, enum.Enum):
     HELPFUL = "helpful"
     INPUT_ORDER = "input-order"
     COST_ASCENDING = "cost-ascending"
+
+    @classmethod
+    def _missing_(cls, value: object) -> "TiePolicy":
+        raise InvalidParameterError(f"unknown tie policy {value!r}")
 
 
 _TAG_RANKS = {
@@ -98,7 +102,7 @@ def cost_of(inst: Instance, indices: Sequence[int]) -> Fraction:
 
 def phase1(
     inst: Instance,
-    policy: TiePolicy = TiePolicy.INPUT_ORDER,
+    policy: TiePolicy | str = TiePolicy.INPUT_ORDER,
     first_cores: Sequence[Cut] | None = None,
 ) -> tuple[list[int], DualSolution, list[IterationRecord]]:
     """Grow duals until the appended links cover every small cut.
@@ -112,6 +116,7 @@ def phase1(
     first iteration sees.  Each must be a small cut and no two may overlap;
     otherwise VerificationError.
     """
+    policy = TiePolicy(policy)
     if first_cores is not None:
         first_cores = list(first_cores)
         for i, s in enumerate(first_cores):
@@ -190,10 +195,11 @@ def reverse_delete(inst: Instance, added: Sequence[int]) -> tuple[list[int], lis
 
 def run(
     inst: Instance,
-    policy: TiePolicy = TiePolicy.INPUT_ORDER,
+    policy: TiePolicy | str = TiePolicy.INPUT_ORDER,
     first_cores: Sequence[Cut] | None = None,
 ) -> RunResult:
     """Both phases end to end; the result's final set is a minimal cover."""
+    policy = TiePolicy(policy)
     added, dual, records = phase1(inst, policy=policy, first_cores=first_cores)
     final, deleted = reverse_delete(inst, added)
     if not covers(inst, [inst.links[i] for i in final]):

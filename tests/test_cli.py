@@ -133,6 +133,27 @@ def test_verify_corrupted_instance_exit_1(tmp_path, capsys):
     assert "d(r) = k-p" in out
 
 
+@pytest.mark.parametrize(
+    "v, failure",
+    [
+        (2, "red is feasible\n     leaves {t2,a2,x2,y2,z,b,r} uncovered\n"),
+        (8, "only red link covering Y_1 is y_1r\n     crossing links [5], expected [5], but link 5 joins {y1,z}\n"),
+    ],
+    ids=["to_x1", "to_z"],
+)
+def test_verify_names_what_a_moved_red_link_breaks(v, failure, tmp_path, capsys):
+    """Link 5 is red y1-r.  Ending it at x1 leaves a cut uncovered, which the
+    report names; ending it at z keeps it the one red link across Y_1, but
+    it is no longer the y1-r link the check names."""
+    path = _write(tmp_path, "g.json")
+    obj = json.loads(Path(path).read_text())
+    assert (obj["links"][5]["u"], obj["links"][5]["v"]) == (3, 10)
+    obj["links"][5]["v"] = v
+    Path(path).write_text(json.dumps(obj))
+    assert main(["verify", path]) == 1
+    assert f"FAIL feasibility lemma at q=1, p=2, k=5: {failure}" in capsys.readouterr().out
+
+
 def test_verify_unrecognized_instance_exit_3(tmp_path, capsys):
     from smallcuts.covering import Instance, Link
     from smallcuts.multigraph import MultiGraph

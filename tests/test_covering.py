@@ -7,6 +7,7 @@ import pytest
 from smallcuts.covering import (
     Instance,
     _cut_degrees,
+    _uncovered_core,
     Link,
     as_cost,
     cores_bruteforce,
@@ -18,8 +19,10 @@ from smallcuts.covering import (
     violated_cuts,
 )
 from smallcuts.errors import BoundExceededError, InvalidParameterError
-from smallcuts.multigraph import Cut, MultiGraph, _groups, _weights, cut_degree, global_min_cut
+from smallcuts.multigraph import Cut, MultiGraph, _groups, _weights, cut_degree
 from smallcuts.tightgen import generate_instance
+
+from min_cut_reference import global_min_cut
 
 GADGET_EDGES = [(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 4, 2), (4, 5, 1), (5, 6, 2)]
 LABELS = ["t", "a", "x", "y", "z", "b", "r"]
@@ -327,6 +330,44 @@ def test_cores_match_definition_on_random_instances():
         chosen = [ln for ln in links if rng.random() < 0.5]
         want = [Cut(m, n) for m in _cores_by_definition(inst, chosen)]
         assert cores_bruteforce(inst, chosen) == want
+
+
+def test_uncovered_core_is_one_of_the_cores_on_random_instances():
+    """None exactly when there is no core, otherwise one of the cores.  Half
+    the selections pair up every node, so the degree screen passes and
+    several phases can fall below k; the witness must be the first."""
+    rng = random.Random(20261020)
+    uncovered = from_phases = spanning = disconnected = 0
+    for trial in range(2000):
+        paired = trial % 2 == 1
+        n = rng.randint(4, 11) if paired else rng.randint(2, 11)
+        k = rng.randint(2, 7) if paired else rng.randint(1, 8)
+        low, high = (1, 4) if paired else (0, 3)
+        density = rng.choice([0.2, 0.4, 0.7])
+        edges = [
+            (u, v, rng.randint(low, high)) for u, v in itertools.combinations(range(n), 2) if rng.random() < density
+        ]
+        g = MultiGraph(n, edges)
+        if paired:
+            order = rng.sample(range(n), n)
+            pairs = [(order[i], order[i + 1]) for i in range(0, n - 1, 2)] + [(order[0], order[-1])] * (n % 2)
+        else:
+            keep = rng.choice([0.1, 0.25, 0.5])
+            pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < keep]
+        chosen = [Link(u, v, 1) for u, v in pairs]
+        inst = Instance(graph=g, k=k, links=tuple(chosen))
+        core = _uncovered_core(inst, chosen)
+        cores = [s.mask for s in cores_bruteforce(inst, chosen)]
+        assert (core is None) == (not cores)
+        disconnected += _groups(n, ((u, v) for u, v, _ in g.edges))[1] > 1
+        if core is None:
+            continue
+        assert core in cores
+        uncovered += 1
+        from_phases += core.bit_count() > 1  # a phase's last row is never one untouched node
+        group, _ = _groups(n, pairs)
+        spanning += len({group[v] for v in range(n) if core >> v & 1}) > 1
+    assert uncovered >= 600 and from_phases >= 150 and spanning >= 20 and disconnected >= 100
 
 
 def _uncovered_small_cuts(inst: Instance, chosen) -> list[Cut]:

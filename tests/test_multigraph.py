@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smallcuts.errors import InvalidParameterError
-from smallcuts.multigraph import Cut, MultiGraph, cut_degree, global_min_cut, min_cut_phases
+from smallcuts.multigraph import Cut, MultiGraph, cut_degree, min_cut_phases
+
+from min_cut_reference import global_min_cut
 
 # 7-node instance used as a fixed reference throughout: the q=1, k=3 build.
 # Edge list written out by hand so these tests do not depend on the generator.

@@ -14,6 +14,8 @@ import smallcuts
 from smallcuts.covering import Instance, Link, covers, is_minimal_cover
 from smallcuts.errors import InfeasibleError, InvalidParameterError, VerificationError
 from smallcuts.multigraph import Cut, MultiGraph
+from smallcuts.oracle import gap_experiment
+from smallcuts.serialize import trace_to_obj
 from smallcuts.tightgen import GadgetParams, analytic_cores, generate_instance
 from smallcuts.wgmv import (
     DualSolution,
@@ -68,6 +70,20 @@ def test_append_order_per_policy():
     for policy, want in orders.items():
         added, _, _ = phase1(inst, policy=policy)
         assert tuple(added) == want, policy
+
+
+def test_policy_given_by_name_runs_that_policy():
+    labeled = generate_instance(1, 2, 5)
+    inst = labeled.instance
+    for policy in TiePolicy:
+        by_name = run(inst, policy=policy.value)
+        assert by_name == run(inst, policy=policy) and by_name.policy is policy
+        assert trace_to_obj(by_name, inst)["policy"] == policy.value
+    assert run(inst, policy="cost-ascending").added == (0, 1, 4, 7, 2, 3, 5, 6, 8)
+    assert gap_experiment(labeled, policy="helpful").policy is TiePolicy.HELPFUL
+    for call in (phase1, run):
+        with pytest.raises(InvalidParameterError, match="unknown tie policy 'bogus'"):
+            call(inst, policy="bogus")
 
 
 def test_reverse_delete_order_decides_survivor():
