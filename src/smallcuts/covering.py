@@ -243,15 +243,18 @@ def covers(inst: Instance, selected: Iterable[Link]) -> bool:
     return _uncovered_core(inst, selected) is None
 
 
+def _droppable_link(inst: Instance, cover: Sequence[Link]) -> int | None:
+    """Position in `cover` of the first link it still covers without, or None."""
+    for i in range(len(cover)):
+        if covers(inst, [*cover[:i], *cover[i + 1 :]]):
+            return i
+    return None
+
+
 def is_minimal_cover(inst: Instance, selected: Sequence[Link]) -> bool:
     """True when `selected` covers and no single link can be dropped."""
     sel = list(selected)
-    if not covers(inst, sel):
-        return False
-    for i in range(len(sel)):
-        if covers(inst, sel[:i] + sel[i + 1 :]):
-            return False
-    return True
+    return covers(inst, sel) and _droppable_link(inst, sel) is None
 
 
 def cores_bruteforce(inst: Instance, selected: Sequence[Link] = ()) -> list[Cut]:

@@ -8,6 +8,7 @@ sums and min-cut phases run over stored records, not repeated edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidParameterError
@@ -177,28 +178,34 @@ def _weights(g: MultiGraph, group: Sequence[int], size: int) -> list[list[int]]:
 
 
 def min_cut_phases(w: list[list[int]]) -> Iterator[tuple[int, int]]:
-    """Stoer-Wagner phases over the symmetric matrix `w`, contracted in place:
-    yields (value, mask of the last supernode over the rows of `w`) per
-    phase.  Each value is the cut of its mask and the least cut separating
-    the two rows the phase merges, so the least value is the global min cut.
-    A phase adds rows in maximum-adjacency order, ties to the smallest row,
-    and merges the last row into the one before it."""
+    """Stoer-Wagner phases over the symmetric zero-diagonal matrix `w`:
+    yields (value, mask of the last supernode over the rows `w` started
+    with) per phase.  Each value is the cut of its mask and the least cut
+    separating the two rows the phase merges, so the least value is the
+    global min cut.  A phase adds rows in maximum-adjacency order, ties to
+    the smallest row, and merges the last row into the one before it; `w`
+    shrinks in place by that row and column, to 1 x 1.  An added row is
+    parked at an int floor below minus the matrix total (not -inf, since
+    multiplicities are unbounded ints); the rest of the phase raises it by
+    at most its degree, so it stays below the unadded rows' weights >= 0."""
+    floor = -2 * sum(map(sum, w)) - 1  # contraction only lowers the total
     merged = [1 << i for i in range(len(w))]  # rows absorbed into supernode i
-    active = list(range(len(w)))
-    while len(active) > 1:
-        start = active[0]
-        weight = {v: w[start][v] for v in active[1:]}
-        last = prev = start
-        while weight:
-            v = max(weight, key=lambda x: (weight[x], -x))
-            prev, last = last, v
-            value = weight.pop(v)
-            for u in weight:
-                weight[u] += w[v][u]
+    while len(w) > 1:
+        weight = w[0][:]
+        weight[0] = floor
+        prev = last = 0
+        for _ in range(len(w) - 1):
+            value = max(weight)
+            prev, last = last, weight.index(value)  # first index: ties to the smallest row
+            weight = list(map(add, weight, w[last]))
+            weight[last] = floor
+        row = list(map(add, w[prev], w[last]))
+        row[prev] = 0
+        w[prev] = row
+        for r, x in zip(w, row):
+            r[prev] = x
+        del w[last]
+        for r in w:
+            del r[last]
         merged[prev] |= merged[last]
-        active.remove(last)
-        for u in active:
-            if u != prev:
-                w[prev][u] += w[last][u]
-                w[u][prev] = w[prev][u]
-        yield value, merged[last]
+        yield value, merged.pop(last)

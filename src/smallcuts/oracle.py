@@ -16,10 +16,10 @@ from typing import Sequence
 
 from .covering import (
     Instance,
+    _droppable_link,
     _fmt_cut,
     _uncovered_core,
     covers,
-    is_minimal_cover,
     link_crosses,
     minimal_cuts,
     violated_cuts,
@@ -242,8 +242,6 @@ def verify_feasibility_lemma(labeled: LabeledInstance) -> VerifierReport:
     """Check minimal feasibility of both solutions and the uniqueness facts."""
     params = labeled.params
     inst = labeled.instance
-    red = labeled.red()
-    blue = labeled.blue()
     checks: list[Check] = []
 
     all_indices = sorted(labeled.red_links + labeled.blue_links)
@@ -255,12 +253,24 @@ def verify_feasibility_lemma(labeled: LabeledInstance) -> VerifierReport:
             f"red {labeled.red_links}, blue {labeled.blue_links}",
         )
     )
-    for color, links in (("red", red), ("blue", blue)):
+    minimality = []
+    for color, indices, links in (
+        ("red", labeled.red_links, labeled.red()),
+        ("blue", labeled.blue_links, labeled.blue()),
+    ):
         core = _uncovered_core(inst, links)
         detail = "" if core is None else f"leaves {_fmt_cut(Cut(core, inst.n), inst)} uncovered"
         checks.append(Check(f"{color} is feasible", core is None, detail))
-    checks.append(Check("red is inclusion-minimal", is_minimal_cover(inst, red)))
-    checks.append(Check("blue is inclusion-minimal", is_minimal_cover(inst, blue)))
+        if core is not None:
+            minimal, detail = False, "not a cover"
+        else:
+            drop = _droppable_link(inst, links)
+            minimal = drop is None
+            if not minimal:
+                ends = _fmt_cut(Cut.of(links[drop].endpoints(), inst.n), inst)
+                detail = f"link {indices[drop]} {ends} can be dropped"
+        minimality.append(Check(f"{color} is inclusion-minimal", minimal, detail))
+    checks += minimality
 
     pools = {"red": labeled.red_links, "blue": labeled.blue_links}
     for name, cut, color, expect, ends in unique_covers(params):

@@ -133,25 +133,41 @@ def test_verify_corrupted_instance_exit_1(tmp_path, capsys):
     assert "d(r) = k-p" in out
 
 
-@pytest.mark.parametrize(
-    "v, failure",
-    [
-        (2, "red is feasible\n     leaves {t2,a2,x2,y2,z,b,r} uncovered\n"),
-        (8, "only red link covering Y_1 is y_1r\n     crossing links [5], expected [5], but link 5 joins {y1,z}\n"),
-    ],
-    ids=["to_x1", "to_z"],
-)
-def test_verify_names_what_a_moved_red_link_breaks(v, failure, tmp_path, capsys):
-    """Link 5 is red y1-r.  Ending it at x1 leaves a cut uncovered, which the
-    report names; ending it at z keeps it the one red link across Y_1, but
-    it is no longer the y1-r link the check names."""
+def _move_red_link_5(tmp_path, v):
+    """The p=2 family with its red link 5, y1-r, ending at node v instead."""
     path = _write(tmp_path, "g.json")
     obj = json.loads(Path(path).read_text())
     assert (obj["links"][5]["u"], obj["links"][5]["v"]) == (3, 10)
     obj["links"][5]["v"] = v
     Path(path).write_text(json.dumps(obj))
-    assert main(["verify", path]) == 1
+    return path
+
+
+@pytest.mark.parametrize(
+    "v, failure",
+    [
+        (2, "red is feasible\n     leaves {t2,a2,x2,y2,z,b,r} uncovered\n"),
+        (4, "red is inclusion-minimal\n     link 6 {t2,x2} can be dropped\n"),
+        (8, "only red link covering Y_1 is y_1r\n     crossing links [5], expected [5], but link 5 joins {y1,z}\n"),
+    ],
+    ids=["to_x1", "to_t2", "to_z"],
+)
+def test_verify_names_what_a_moved_red_link_breaks(v, failure, tmp_path, capsys):
+    """Link 5 is red y1-r.  Ending it at x1 leaves a cut uncovered, which the
+    report names; ending it at t2 still covers, but then link 6 is redundant;
+    ending it at z keeps it the one red link across Y_1, but it is no longer
+    the y1-r link the check names."""
+    assert main(["verify", _move_red_link_5(tmp_path, v)]) == 1
     assert f"FAIL feasibility lemma at q=1, p=2, k=5: {failure}" in capsys.readouterr().out
+
+
+def test_verify_failure_output_is_pinned(tmp_path, capsys):
+    """The whole report for link 5 moved to x1.  The core it names is the
+    last row of the first Stoer-Wagner phase below k, so this pins the
+    phase order end to end."""
+    assert main(["verify", _move_red_link_5(tmp_path, 2)]) == 1
+    want = (GOLDEN / "verify_q1_p2_k5_link5_to_x1.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == want
 
 
 def test_verify_unrecognized_instance_exit_3(tmp_path, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from smallcuts.errors import InvalidParameterError
 from smallcuts.multigraph import Cut, MultiGraph, cut_degree, min_cut_phases
 
-from min_cut_reference import global_min_cut
+from min_cut_reference import global_min_cut, reference_phases
 
 # 7-node instance used as a fixed reference throughout: the q=1, k=3 build.
 # Edge list written out by hand so these tests do not depend on the generator.
@@ -212,6 +212,40 @@ def test_min_cut_and_every_phase_match_brute_force_up_to_10_nodes():
         assert len(phases) == n - 1
         assert all(cut_degree(g, Cut(mask, n)) == phase for phase, mask in phases)
         assert min(phase for phase, _ in phases) == min(cuts)
+
+
+def _phase_matrix(rng: random.Random, n: int, kind: str) -> list[list[int]]:
+    """Symmetric zero-diagonal n x n matrix.  "ties" uses one multiplicity,
+    so most maximum-adjacency steps tie; "zero rows" isolates up to half the
+    rows; "huge" puts every multiplicity just past 2^64."""
+    isolated = set(rng.sample(range(n), rng.randint(0, n // 2))) if kind == "zero rows" else set()
+    density = rng.choice([0.2, 0.6, 1.0])
+    w = [[0] * n for _ in range(n)]
+    for a, b in itertools.combinations(range(n), 2):
+        if a in isolated or b in isolated or rng.random() >= density:
+            continue
+        if kind == "ties":
+            m = 1
+        elif kind == "huge":
+            m = 2**64 + rng.randint(0, 3)
+        else:
+            m = rng.randint(1, 5)
+        w[a][b] = w[b][a] = m
+    return w
+
+
+def test_phase_kernel_yields_the_reference_phases():
+    """`min_cut_phases` yields exactly the (value, mask) phases of the
+    dict-based loop it replaced, ties and disconnected graphs included, and
+    contracts its matrix to 1 x 1.  Every size 1..70 once, then small ones."""
+    rng = random.Random(2024)
+    sizes = list(range(1, 71)) + [rng.randint(1, 12) for _ in range(960)]
+    kinds = ("plain", "ties", "zero rows", "huge")
+    for i, n in enumerate(sizes):
+        w = _phase_matrix(rng, n, kinds[i % len(kinds)])
+        kernel_w = [row[:] for row in w]
+        assert list(min_cut_phases(kernel_w)) == list(reference_phases(w)), (n, kinds[i % len(kinds)])
+        assert kernel_w == [[0]]
 
 
 @st.composite
