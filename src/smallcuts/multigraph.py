@@ -51,7 +51,7 @@ class Cut:
         return bool(self.mask >> v & 1)
 
     def nodes(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.mask >> v & 1)
+        return tuple([v for v in range(self.n) if self.mask >> v & 1])  # a list: see MultiGraph.__init__
 
     def size(self) -> int:
         return self.mask.bit_count()
@@ -104,10 +104,12 @@ class MultiGraph:
             key = (u, v) if u < v else (v, u)
             folded[key] = folded.get(key, 0) + mult
         self.n = n
+        # tuples of known length from lists: one grown from a generator is
+        # resized, and each one freed parks a block on its length's free list
         self.edges: tuple[tuple[int, int, int], ...] = tuple(
-            (u, v, m) for (u, v), m in sorted(folded.items())
+            [(u, v, m) for (u, v), m in sorted(folded.items())]
         )
-        labels = tuple(map(str, range(n))) if labels is None else tuple(labels)
+        labels = tuple([str(v) for v in range(n)]) if labels is None else tuple(labels)
         if len(labels) != n:
             raise InvalidParameterError(f"expected {n} labels, got {len(labels)}")
         for v, label in enumerate(labels):

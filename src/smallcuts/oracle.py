@@ -95,9 +95,13 @@ def brute_force_optimum(inst: Instance) -> tuple[Fraction, tuple[int, ...]]:
     the incumbent, no larger subset can either, and the search stops.
     Within a size, combinations are walked depth first in lexicographic
     order, and a branch is cut when its cheapest completion is not strictly
-    cheaper than the incumbent.  So `covers` is asked about exactly the
-    combinations that would beat the incumbent, in lexicographic order, and
-    the first one found wins ties.
+    cheaper than the incumbent.  A node of degree below k is a small cut on
+    its own that only a link at it covers, so a branch is also cut when its
+    untouched such nodes outnumber twice the links left to pick.  So
+    `covers` is asked, in lexicographic order, about exactly the
+    combinations that would beat the incumbent and touch every node below
+    k: the full enumeration's questions minus those its degree screen
+    answers False.  The first cover found wins ties.
     """
     links = inst.links
     m = len(links)
@@ -107,16 +111,20 @@ def brute_force_optimum(inst: Instance) -> tuple[Fraction, tuple[int, ...]]:
         return Fraction(0), ()
     if not covers(inst, links):
         raise InfeasibleError("no feasible cover exists: all links together leave a small cut")
-    scale = math.lcm(*(ln.cost.denominator for ln in links))
+    # a list, not a generator: *args of unknown length build a resized tuple
+    scale = math.lcm(*[ln.cost.denominator for ln in links])
     costs = [ln.cost.numerator * (scale // ln.cost.denominator) for ln in links]
     # cheapest[i][r]: the sum of the r smallest costs among links i..m-1.
     cheapest = [[0, *itertools.accumulate(sorted(costs[i:]))] for i in range(m + 1)]
     # Every subset costs at most sum(costs), so this incumbent loses to any.
     best: tuple[int, tuple[int, ...]] = (sum(costs) + 1, ())
+    g = inst.graph
+    low = sum(1 << v for v in range(g.n) if g.node_degree(v) < inst.k)
+    ends = [(1 << ln.u | 1 << ln.v) & low for ln in links]  # the nodes below k each link touches
     for size in range(1, m + 1):
         if cheapest[0][size] >= best[0]:
             break
-        best = _cheapest_cover_of_size(inst, costs, cheapest, [], 0, size, best)
+        best = _cheapest_cover_of_size(inst, costs, cheapest, ends, [], 0, low, size, best)
     cost, combo = best
     if not combo:
         raise VerificationError("feasible overall but no subset found; enumeration is broken")
@@ -129,15 +137,19 @@ def _cheapest_cover_of_size(
     inst: Instance,
     costs: list[int],
     cheapest: list[list[int]],
+    ends: list[int],
     chosen: list[int],
     cost: int,
+    untouched: int,
     r: int,
     best: tuple[int, tuple[int, ...]],
 ) -> tuple[int, tuple[int, ...]]:
-    """Extend `chosen` (costing `cost`) by r more increasing indices.
+    """Extend `chosen` (costing `cost`, leaving the nodes below k in the
+    mask `untouched` untouched) by r more increasing indices.
 
     Returns the incumbent after every extension strictly cheaper than it
-    has been checked, in lexicographic order.
+    that touches every node below k has been checked, in lexicographic
+    order.
     """
     start = chosen[-1] + 1 if chosen else 0
     for i in range(start, len(costs) - r + 1):
@@ -146,9 +158,12 @@ def _cheapest_cover_of_size(
         total = cost + costs[i]
         if total + cheapest[i + 1][r - 1] >= best[0]:
             continue
+        left = untouched & ~ends[i]
+        if left.bit_count() > 2 * (r - 1):
+            continue  # each link still to pick touches at most two of them
         chosen.append(i)
         if r > 1:
-            best = _cheapest_cover_of_size(inst, costs, cheapest, chosen, total, r - 1, best)
+            best = _cheapest_cover_of_size(inst, costs, cheapest, ends, chosen, total, left, r - 1, best)
         elif covers(inst, [inst.links[j] for j in chosen]):
             best = (total, tuple(chosen))
         chosen.pop()

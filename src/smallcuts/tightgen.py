@@ -86,7 +86,7 @@ def _suffix(p: int, i: int) -> str:
 def _gadget_sets(params: GadgetParams, i: int) -> tuple[Cut, ...]:
     """{t_i}, A_i = {t_i,a_i}, X_i = A_i+x_i and Y_i = X_i+y_i."""
     nodes = _gadget_nodes(i)
-    return tuple(Cut.of(nodes[:size], params.n) for size in (1, 2, 3, 4))
+    return tuple([Cut.of(nodes[:size], params.n) for size in (1, 2, 3, 4)])  # a list: see MultiGraph.__init__
 
 
 def a_union(params: GadgetParams, subset: tuple[int, ...]) -> Cut:

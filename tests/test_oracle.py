@@ -153,7 +153,29 @@ def _gate_instance(rng: random.Random) -> Instance:
     return Instance(graph=MultiGraph(n, edges), k=rng.randint(2, 5), links=links)
 
 
+def _touches_every_node_below_k(inst: Instance, selection) -> bool:
+    """False exactly when `covers`' degree screen answers the selection:
+    some node of degree below k is an endpoint of no selected link."""
+    touched = {v for ln in selection for v in (ln.u, ln.v)}
+    g = inst.graph
+    return all(v in touched for v in range(g.n) if g.node_degree(v) < inst.k)
+
+
+def _fixed_gate_instances() -> list[Instance]:
+    # n = 1: no link fits, and the empty selection already covers
+    one = Instance(graph=MultiGraph(1, []), k=3, links=())
+    # node 4 is isolated, so every cover holds one of the three links at it
+    g = MultiGraph(5, [(0, 1, 2), (1, 2, 2), (2, 3, 2), (0, 3, 1)])
+    costs = ("1", "1/2", "2", "1/3", "1", "3/4", "1/2", "1")
+    pairs = ((0, 4), (1, 2), (4, 2), (0, 2), (1, 3), (3, 4), (0, 1), (2, 3))
+    isolated = Instance(graph=g, k=4, links=tuple(Link(u, v, c) for (u, v), c in zip(pairs, costs)))
+    return [one, isolated]
+
+
 def test_optimum_matches_enumerator_and_its_covers_calls(monkeypatch):
+    """The search asks `covers` the reference enumerator's questions, in
+    order, minus exactly those its degree screen answers False; the first
+    two calls (none and all links) and the final check are asked as-is."""
     rng = random.Random(20251018)
     calls: list[tuple[Link, ...]] = []
 
@@ -162,12 +184,18 @@ def test_optimum_matches_enumerator_and_its_covers_calls(monkeypatch):
         return covers(inst, selected)
 
     monkeypatch.setattr(oracle, "covers", recording_covers)
-    nontrivial = 0
-    for _ in range(300):
-        inst = _gate_instance(rng)
+    nontrivial = enumerated = asked = 0
+    instances = _fixed_gate_instances() + [_gate_instance(rng) for _ in range(300)]
+    for inst in instances:
         want = _enumerated_optimum(inst, recording_covers)
         want_calls = calls[:]
         calls.clear()
+        if len(want_calls) > 1:
+            search = want_calls[2:-1]
+            kept = [sel for sel in search if _touches_every_node_below_k(inst, sel)]
+            want_calls[2:-1] = kept
+            enumerated += len(search)
+            asked += len(kept)
         got = brute_force_optimum(inst)
         assert got == want
         assert type(got[0]) is Fraction
@@ -175,6 +203,7 @@ def test_optimum_matches_enumerator_and_its_covers_calls(monkeypatch):
         calls.clear()
         nontrivial += len(want[1]) >= 2
     assert nontrivial >= 200
+    assert asked * 5 < enumerated  # the screen answers most of the enumeration
 
 
 @pytest.mark.parametrize("q,p,k", [(1, 1, 3), (1, 2, 5), (2, 2, 9)])
