@@ -355,10 +355,7 @@ def gap_sweep(k_list: Sequence[int]) -> list[SweepRow]:
     for k in k_list:
         p = (k - 1) // 2
         res = gap_experiment(generate_instance(1, p, k), policy=TiePolicy.ADVERSARIAL)
-        if k % 2 == 1:
-            formula = Fraction(5 * (k - 1), k + 3)
-        else:
-            formula = Fraction(5 * (k - 2), k + 2)
+        formula = Fraction(5 * p, p + 2)
         rows.append(
             SweepRow(
                 k=k,

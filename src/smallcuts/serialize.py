@@ -98,7 +98,7 @@ def instance_from_obj(obj: Any) -> Instance:
 def instance_from_text(text: str) -> Instance:
     try:
         obj = json.loads(text)
-    except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as e:  # also too many digits, or nesting too deep
         raise InvalidParameterError(f"not valid JSON: {e}")
     return instance_from_obj(obj)
 
@@ -110,7 +110,11 @@ def write_instance(path: str, inst: Instance) -> None:
 
 def read_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise InvalidParameterError(f"instance file is not UTF-8: {e}")
+    return instance_from_text(text)
 
 
 def _cut_key(nodes: tuple[int, ...]) -> str:

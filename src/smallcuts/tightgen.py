@@ -57,12 +57,18 @@ class GadgetParams:
 
 @dataclass(frozen=True)
 class LabeledInstance:
-    """A generated instance plus its parameters and red/blue index sets."""
+    """An instance and its family parameters.  A link's color is its tag."""
 
     instance: Instance
     params: GadgetParams
-    red_links: tuple[int, ...]
-    blue_links: tuple[int, ...]
+
+    @property
+    def red_links(self) -> tuple[int, ...]:
+        return tuple([i for i, ln in enumerate(self.instance.links) if ln.tag == "red"])
+
+    @property
+    def blue_links(self) -> tuple[int, ...]:
+        return tuple([i for i, ln in enumerate(self.instance.links) if ln.tag == "blue"])
 
     def red(self) -> list[Link]:
         return [self.instance.links[i] for i in self.red_links]
@@ -133,14 +139,7 @@ def _build(params: GadgetParams) -> LabeledInstance:
     for i in range(p):
         t, a, x, y = _gadget_nodes(i)
         red += [Link(t, x, 2, tag="red"), Link(a, y, 1, tag="red"), Link(y, r, 2, tag="red")]
-    links = tuple(blue + red)
-
-    labeled = LabeledInstance(
-        instance=Instance(graph=graph, k=k, links=links),
-        params=params,
-        red_links=tuple(range(p + 1, 4 * p + 1)),
-        blue_links=tuple(range(p + 1)),
-    )
+    labeled = LabeledInstance(Instance(graph=graph, k=k, links=tuple(blue + red)), params)
     _validate_construction(labeled)
     return labeled
 
@@ -347,10 +346,5 @@ def detect_generated(inst: Instance) -> LabeledInstance | None:
         return None
     own = rebuilt.instance
     if inst.k == own.k and inst.graph.edges == own.graph.edges and inst.links == own.links:
-        return LabeledInstance(
-            instance=inst,
-            params=params,
-            red_links=rebuilt.red_links,
-            blue_links=rebuilt.blue_links,
-        )
+        return LabeledInstance(inst, params)
     return None

@@ -175,6 +175,31 @@ def test_verify_failure_output_is_pinned(tmp_path, capsys):
     assert capsys.readouterr().out.encode() == want
 
 
+def _retag(tmp_path, i, tag):
+    """The p=2 family with link i tagged `tag`; a link's color is its tag."""
+    path = _write(tmp_path, "g.json")
+    obj = json.loads(Path(path).read_text())
+    obj["links"][i]["tag"] = tag
+    Path(path).write_text(json.dumps(obj))
+    return path
+
+
+def test_verify_reads_the_colors_from_the_tags(tmp_path, capsys):
+    """Link 3 is red t1-x1.  Tagged blue, it leaves red short of {t1} and
+    blue with a link to spare, and the file is no longer an exact build,
+    so the gap run is skipped."""
+    assert main(["verify", _retag(tmp_path, 3, "blue")]) == 1
+    want = (GOLDEN / "verify_q1_p2_k5_link3_blue.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == want
+
+
+def test_verify_untagged_link_exit_3(tmp_path, capsys):
+    assert main(["verify", _retag(tmp_path, 3, None)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: instance has untagged links; cannot split red from blue\n"
+
+
 def test_verify_unrecognized_instance_exit_3(tmp_path, capsys):
     from smallcuts.covering import Instance, Link
     from smallcuts.multigraph import MultiGraph
@@ -412,6 +437,16 @@ def test_malformed_numbers_exit_3(command, field, tmp_path, capsys):
         text = json.dumps(obj).replace('"k": 3', '"k": ' + "9" * 5000)
     path = tmp_path / "bad.json"
     path.write_text(text)
+    assert main([command, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "export-dot"])
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 200000], ids=["not_utf8", "nested_too_deep"])
+def test_malformed_files_exit_3(command, content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
     assert main([command, str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

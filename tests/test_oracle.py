@@ -289,7 +289,10 @@ def test_gap_experiment_past_the_link_bound_needs_a_certificate():
     lab = generate_instance(1, 5, 11)
     res = gap_experiment(lab)
     assert (res.opt_cost, res.dual_obj, res.opt_is_analytic) == (7, 7, True)
-    swapped = dataclasses.replace(lab, red_links=lab.blue_links, blue_links=lab.red_links)
+    swap = {"red": "blue", "blue": "red"}
+    links = tuple([dataclasses.replace(ln, tag=swap[ln.tag]) for ln in lab.instance.links])
+    swapped = dataclasses.replace(lab, instance=dataclasses.replace(lab.instance, links=links))
+    assert swapped.blue_links == lab.red_links
     with pytest.raises(BoundExceededError, match="does not certify"):
         gap_experiment(swapped)
     with pytest.raises(BoundExceededError, match="does not certify"):
