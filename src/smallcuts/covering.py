@@ -258,7 +258,8 @@ def is_minimal_cover(inst: Instance, selected: Sequence[Link]) -> bool:
 
 
 def cores_bruteforce(inst: Instance, selected: Sequence[Link] = ()) -> list[Cut]:
-    """Inclusion-minimal violated cuts by exhaustive enumeration."""
+    """Inclusion-minimal violated cuts by exhaustive enumeration: the
+    reference for the cores phase 1 takes from its filtered list."""
     return minimal_cuts(inst, violated_cuts(inst, selected))
 
 

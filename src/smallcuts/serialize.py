@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .covering import Instance, Link, as_cost
@@ -32,7 +33,55 @@ def fraction_text(value: Fraction) -> str:
 
 
 def canonical_text(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2)` and a newline, for the
+    documents written here: str-keyed dicts, lists, strings, ints, bools and
+    None.  With `indent` set, json runs its pure-Python encoder, whose
+    nested closures are left as a reference cycle on every call."""
+    out: list[str] = []
+    _put_json(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _put_json(obj: Any, out: list[str], newline: str) -> None:
+    """Append `obj`'s text to `out`; `newline` ends with the indent of the
+    line `obj` starts on."""
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, list):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _put_json(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _put_json(value, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def instance_to_obj(inst: Instance) -> dict:

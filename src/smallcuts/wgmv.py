@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .covering import Instance, Link, _fmt_cut, cores_bruteforce, covers, link_crosses
+from .covering import Instance, Link, _fmt_cut, covers, link_crosses, minimal_cuts, violated_cuts
 from .errors import InfeasibleError, InvalidParameterError, VerificationError
 from .multigraph import Cut, cut_degree
 
@@ -111,10 +111,13 @@ def phase1(
     records).  Raises InfeasibleError when some core is crossed by no
     remaining link and so can never be covered.
 
-    Cores come from exhaustive enumeration, except that `first_cores`, when
-    given, are taken as the cores of the empty selection, which only the
-    first iteration sees.  Each must be a small cut and no two may overlap;
-    otherwise VerificationError.
+    Cores are the minimal cuts of the violated-cut list.  The first
+    iteration that needs it enumerates that list once; each later iteration
+    keeps the listed cuts that no newly appended link crosses, which are
+    exactly the cuts the grown selection leaves uncovered, in the same
+    order.  `first_cores`, when given, are taken as the cores of the empty
+    selection, which only the first iteration sees.  Each must be a small
+    cut and no two may overlap; otherwise VerificationError.
     """
     policy = TiePolicy(policy)
     if first_cores is not None:
@@ -131,6 +134,7 @@ def phase1(
     load = [Fraction(0)] * len(links)
     y: dict[Cut, Fraction] = {}
     records: list[IterationRecord] = []
+    listed: list[Cut] | None = None  # violated cuts of the current selection
     it = 0
     while True:
         selected = [links[i] for i in added]
@@ -140,7 +144,12 @@ def phase1(
         # never enumerates, whatever the instance's size.
         if covers(inst, selected):
             break
-        cores = first_cores if it == 0 and first_cores is not None else cores_bruteforce(inst, selected)
+        if it == 0 and first_cores is not None:
+            cores = first_cores
+        else:
+            if listed is None:
+                listed = violated_cuts(inst, selected)
+            cores = minimal_cuts(inst, listed)
         if not cores:
             raise VerificationError("coverage test found a violated cut but there are no cores")
         it += 1
@@ -171,6 +180,8 @@ def phase1(
         for i in newly:
             in_added[i] = True
             added.append(i)
+        if listed is not None:
+            listed = [s for s in listed if not any(link_crosses(links[i], s) for i in newly)]
         records.append(
             IterationRecord(index=it, active_cores=tuple(cores), delta=delta, newly_tight=tuple(newly))
         )

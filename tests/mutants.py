@@ -1,0 +1,168 @@
+"""Mutation checks: each mutant breaks the package in one place, and the
+tests named for it must then fail.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME [NAME]  # only these, and the no-op
+
+For each mutant the driver copies ``src/`` to a temporary directory,
+replaces the mutant's exact old text by its new text in one file of the
+copy, and runs ``python -m pytest -x -q`` on the mutant's tests against the
+copy, one subprocess at a time.  It exits 1 when a mutant survives (its
+tests pass), or when a mutant's old text does not occur exactly once, so a
+refactor has to re-anchor a mutant rather than lose it.
+
+The no-op mutant changes nothing and runs every test the table names, so it
+must survive.  If it is killed, a named test is missing or fails on the
+unmutated package, and no kill below can be trusted; the run fails then too.
+Once it survives, any nonzero pytest exit under a mutant is the mutant's
+doing, a collection error included.  The file's name keeps pytest from
+collecting it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str  # relative to src/smallcuts
+    old: str
+    new: str
+    tests: tuple[str, ...]  # relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "phase kernel ties to the largest row",
+        "multigraph.py",
+        "prev, last = last, weight.index(value)",
+        "prev, last = last, len(weight) - 1 - weight[::-1].index(value)",
+        ("tests/test_multigraph.py",),
+    ),
+    Mutant(
+        "optimum search counts degree k as below k",
+        "oracle.py",
+        "if g.node_degree(v) < inst.k)",
+        "if g.node_degree(v) <= inst.k)",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "uncovered core is the last phase below k, not the first",
+        "covering.py",
+        """    for value, rows in min_cut_phases(_weights(g, group, size)):
+        if value < k:
+            return sum(1 << v for v in range(n) if rows >> group[v] & 1)
+    return None""",
+        """    found = None
+    for value, rows in min_cut_phases(_weights(g, group, size)):
+        if value < k:
+            found = sum(1 << v for v in range(n) if rows >> group[v] & 1)
+    return found""",
+        ("tests/test_covering.py",),
+    ),
+    Mutant(
+        "covers drops the degree screen",
+        "covering.py",
+        """    for v in range(n):
+        if not touched[v] and g.node_degree(v) < k:
+            return 1 << v
+""",
+        "",
+        ("tests/test_cli.py::test_verify_reads_the_colors_from_the_tags",),
+    ),
+    Mutant(
+        "phase 1 never filters its violated-cut list",
+        "wgmv.py",
+        "link_crosses(links[i], s) for i in newly)]",
+        "link_crosses(links[i], s) for i in ())]",
+        ("tests/test_wgmv.py::test_phase1_lists_the_violated_cuts_once_per_run",),
+    ),
+    Mutant(
+        "phase 1 filters its list by the first appended link only",
+        "wgmv.py",
+        "link_crosses(links[i], s) for i in newly)]",
+        "link_crosses(links[i], s) for i in newly[:1])]",
+        ("tests/test_wgmv.py::test_phase1_lists_the_violated_cuts_once_per_run",),
+    ),
+)
+
+NO_OP = Mutant(
+    "no-op",
+    "wgmv.py",
+    "def phase1(",
+    "def phase1(",
+    tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests)),
+)
+
+
+def run_mutant(mutant: Mutant) -> tuple[str, float, str]:
+    """Apply `mutant` to a fresh copy of src/ and run its tests: returns
+    ("killed" | "survived" | an error, seconds, the end of pytest's output)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        path = src / "smallcuts" / mutant.file
+        text = path.read_text(encoding="utf-8")
+        count = text.count(mutant.old)
+        if count != 1:
+            return "stale", 0.0, f"old text found {count} times in {mutant.file}; re-anchor the mutant"
+        path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        cmd = [
+            sys.executable, "-m", "pytest", "-x", "-q",
+            "-p", "no:cacheprovider",
+            "-o", f"pythonpath={src}",  # the copy, not the checkout's src/
+            *mutant.tests,
+        ]
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run(
+                cmd, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                text=True, timeout=TIMEOUT_S, env=_env(),
+            )
+        except subprocess.TimeoutExpired:
+            return "timeout", time.perf_counter() - start, f"tests ran past {TIMEOUT_S} s"
+        seconds = time.perf_counter() - start
+    tail = "\n".join(proc.stdout.splitlines()[-5:])
+    return ("killed" if proc.returncode else "survived"), seconds, tail
+
+
+def _env() -> dict[str, str]:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPATH", None)  # nothing may shadow the mutated copy
+    return env
+
+
+def main(argv: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    failures = 0
+    for mutant in (NO_OP, *chosen):
+        verdict, seconds, tail = run_mutant(mutant)
+        ok = verdict == ("survived" if mutant is NO_OP else "killed")
+        failures += not ok
+        print(f"{'ok  ' if ok else 'FAIL'} {verdict:8} {seconds:6.1f}s  {mutant.name}", flush=True)
+        if not ok:
+            print(tail, flush=True)
+    print(f"{len(chosen)} mutants, {failures} failures")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -60,6 +60,6 @@ def test_tracer_counts_one_solve(monkeypatch, capsys):
     with tr.installed(), tr.op():
         assert main(["solve", str(instance)]) == 0
     metrics = tr.layer_metrics(0.0)
-    assert metrics["covering.violated_cuts.calls"] == 3
+    assert metrics["covering.violated_cuts.calls"] == 1
     assert metrics["covering.covers.calls"] == 9
     assert metrics["wgmv.phase1.iterations"] == 3

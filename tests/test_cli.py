@@ -308,6 +308,10 @@ def _random_instance(seed: int, n: int = 8) -> Instance:
         ["verify", "--q", "1", "--p", "2", "--k", "5"],
         pytest.param(["solve", "family.json"], id="solve-family"),
         pytest.param(["solve", "random.json"], id="solve-random"),
+        pytest.param(["generate", "--q", "1", "--p", "2", "--k", "5", "--out", "g.json"], id="generate-out"),
+        pytest.param(["solve", "random.json", "--trace", "t.json"], id="solve-trace"),
+        pytest.param(["experiment", "--k", "5", "6", "--out", "e.json"], id="experiment-out"),
+        pytest.param(["verify", "--q", "1", "--p", "2", "--k", "5", "--out", "v.json"], id="verify-out"),
     ],
 )
 def test_command_leaves_no_cyclic_garbage(argv, tmp_path, monkeypatch, capsys):

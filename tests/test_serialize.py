@@ -1,5 +1,8 @@
 import json
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +178,39 @@ def test_file_api_exported_at_package_root():
         assert name in smallcuts.__all__
     missing = [name for name in smallcuts.__all__ if not hasattr(smallcuts, name)]
     assert missing == []
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# the longest int `str` writes; the limit is new in Python 3.11, and 0 lifts it
+_MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 4300)() or 4300
+_KEY_CHARS = "ab_ Zé€\"\\/\n\t\x00\x1f\u2028\U0001f600"
+
+
+def _nested(rng: random.Random, depth: int):
+    kind = rng.randrange(9 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice([None, True, False])
+    if kind == 1:
+        return rng.choice([0, -1, 1]) * rng.randrange(10 ** rng.randint(0, _MAX_DIGITS))
+    if kind == 2:
+        return "".join(rng.choice(_KEY_CHARS) for _ in range(rng.randint(0, 6)))
+    if kind == 3:
+        return rng.choice([[], {}])
+    if kind == 4:
+        return rng.randint(-3, 3)
+    if kind in (5, 6):
+        return [_nested(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    keys = {"".join(rng.choice(_KEY_CHARS) for _ in range(rng.randint(0, 4))) for _ in range(rng.randint(0, 4))}
+    return {key: _nested(rng, depth + 1) for key in keys}
+
+
+def test_canonical_text_is_sorted_indented_json():
+    """`canonical_text` writes what `json.dumps(sort_keys, indent=2)` writes,
+    on every golden document and on seeded nested objects."""
+    documents = [json.loads(path.read_text(encoding="utf-8")) for path in sorted(GOLDEN.glob("*.json"))]
+    assert len(documents) >= 8
+    rng = random.Random(3316)
+    documents += [_nested(rng, 0) for _ in range(400)]
+    documents += [10 ** (_MAX_DIGITS - 1), -(10**_MAX_DIGITS - 1), {"ε": ["", None, True, False, [], {}]}]
+    for obj in documents:
+        assert canonical_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"

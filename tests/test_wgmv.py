@@ -11,7 +11,7 @@ import pytest
 
 import smallcuts
 
-from smallcuts.covering import Instance, Link, covers, is_minimal_cover
+from smallcuts.covering import Instance, Link, cores_bruteforce, covers, is_minimal_cover
 from smallcuts.errors import InfeasibleError, InvalidParameterError, VerificationError
 from smallcuts.multigraph import Cut, MultiGraph
 from smallcuts.oracle import gap_experiment
@@ -258,3 +258,78 @@ def test_phase1_rejects_bad_first_cores():
         phase1(inst, first_cores=[t1, a_set])
     with pytest.raises(InvalidParameterError, match="cut over 7 nodes"):
         phase1(inst, first_cores=analytic_cores(GadgetParams(q=1, p=1, k=3)))
+
+
+def _enumerations(monkeypatch) -> list[int]:
+    """Counts phase 1's calls of `violated_cuts`, one entry per call."""
+    calls: list[int] = []
+    original = smallcuts.wgmv.violated_cuts
+
+    def counted(inst, selected):
+        calls.append(1)
+        return original(inst, selected)
+
+    monkeypatch.setattr(smallcuts.wgmv, "violated_cuts", counted)
+    return calls
+
+
+def _assert_cores_are_the_reference(inst: Instance, added: list[int], records) -> None:
+    """Each iteration's cores are the minimal cuts the links appended
+    before it leave uncovered."""
+    before = 0
+    for rec in records:
+        chosen = [inst.links[i] for i in added[:before]]
+        assert list(rec.active_cores) == cores_bruteforce(inst, chosen), rec.index
+        before += len(rec.newly_tight)
+    assert before == len(added)
+
+
+def _feasible_random_instance(rng: random.Random, n: int) -> Instance:
+    """Sparse edges and links with small integer costs, so most runs take
+    several iterations and several links often go tight together; a link
+    path makes it feasible."""
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [(u, v, rng.randint(1, 3)) for u, v in pairs if rng.random() < 0.3]
+    extra = rng.sample(pairs, rng.randint(0, len(pairs) // 2))
+    links = [Link(v, v + 1, rng.randint(1, 6)) for v in range(n - 1)]
+    links += [Link(u, v, rng.randint(1, 6)) for u, v in extra]
+    rng.shuffle(links)
+    return Instance(graph=MultiGraph(n, edges), k=rng.randint(2, 6), links=tuple(links))
+
+
+def test_phase1_lists_the_violated_cuts_once_per_run(monkeypatch):
+    """Phase 1 enumerates once and filters the list by each iteration's new
+    links; every iteration's cores must still be `cores_bruteforce` of the
+    selection so far."""
+    calls = _enumerations(monkeypatch)
+    rng = random.Random(16016)
+    filtered_by_several = 0  # runs whose list is filtered by two or more new links at once
+    for _ in range(300):
+        inst = _feasible_random_instance(rng, rng.randint(3, 12))
+        for policy in TiePolicy:
+            calls.clear()
+            added, dual, records = phase1(inst, policy)
+            _assert_cores_are_the_reference(inst, added, records)
+            assert len(calls) == (1 if records else 0)
+            filtered_by_several += any(len(rec.newly_tight) > 1 for rec in records[:-1])
+            # supplied first cores: the list is made at the second iteration
+            calls.clear()
+            first = cores_bruteforce(inst)
+            assert phase1(inst, policy, first_cores=first) == (added, dual, records)
+            assert len(calls) == (1 if len(records) > 1 else 0)
+    assert filtered_by_several > 300
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_family_run_with_first_cores_never_enumerates(monkeypatch, p):
+    """The analytic cores cover the family member in one iteration, so
+    phase 1 never lists the violated cuts."""
+    calls = _enumerations(monkeypatch)
+    for k in range(2 * p + 1, 2 * p + 4):
+        for eps in (Fraction(0), Fraction(1, 100)):
+            lab = generate_instance(1, p, k, eps)
+            for policy in TiePolicy:
+                added, _, records = phase1(lab.instance, policy, first_cores=analytic_cores(lab.params))
+                _assert_cores_are_the_reference(lab.instance, added, records)
+                assert len(records) == 1
+    assert calls == []
