@@ -2,12 +2,13 @@
 
 Phase 1 grows a dual solution: each iteration raises y_S uniformly on the
 active cores (the inclusion-minimal uncovered small cuts), by the largest
-increment that keeps every link's dual load within its cost, then appends
-every link whose slack hit zero.  Phase 2 walks the appended links in exact
-reverse order and drops each one whose removal keeps the selection feasible.
+increment that keeps every link's slack (its cost minus the duals of the
+cuts it crosses) nonnegative, then appends every link whose slack hit zero.
+Phase 2 walks the appended links in exact reverse order and drops each one
+whose removal keeps the selection feasible.
 
-The order tight links are appended within one iteration is the only slack in
-the procedure; a TiePolicy pins it down, and on instances built to be
+The order tight links are appended within one iteration is the only freedom
+in the procedure; a TiePolicy pins it down, and on instances built to be
 adversarial it is what separates the cheap cover from the expensive one.
 """
 
@@ -111,6 +112,10 @@ def phase1(
     records).  Raises InfeasibleError when some core is crossed by no
     remaining link and so can never be covered.
 
+    An iteration raises the cores by the least slack / c over the links not
+    yet appended that cross c > 0 of them, then appends in the policy's order
+    every link at zero slack, a zero-cost one even if it crosses no core.
+
     Cores are the minimal cuts of the violated-cut list.  The first
     iteration that needs it enumerates that list once; each later iteration
     keeps the listed cuts that no newly appended link crosses, which are
@@ -130,60 +135,45 @@ def phase1(
     links = inst.links
     key = _append_key(policy, links)
     added: list[int] = []
-    in_added = [False] * len(links)
-    load = [Fraction(0)] * len(links)
+    slack = {i: ln.cost for i, ln in enumerate(links)}  # of the links not yet appended
     y: dict[Cut, Fraction] = {}
     records: list[IterationRecord] = []
     listed: list[Cut] | None = None  # violated cuts of the current selection
-    it = 0
-    while True:
-        selected = [links[i] for i in added]
-        # Termination is decided by the exact min-cut coverage test, so cores
-        # are only looked for while violated cuts actually exist.  A run that
-        # starts from supplied first cores and is covered after one iteration
-        # never enumerates, whatever the instance's size.
-        if covers(inst, selected):
-            break
-        if it == 0 and first_cores is not None:
+    # The exact min-cut test decides termination, so cores are only looked
+    # for while violated cuts exist: a run that starts from supplied first
+    # cores and is covered after one iteration never enumerates.
+    while not covers(inst, [links[i] for i in added]):
+        if not records and first_cores is not None:
             cores = first_cores
         else:
             if listed is None:
-                listed = violated_cuts(inst, selected)
+                listed = violated_cuts(inst, [links[i] for i in added])
             cores = minimal_cuts(inst, listed)
         if not cores:
             raise VerificationError("coverage test found a violated cut but there are no cores")
-        it += 1
-        remaining = [i for i in range(len(links)) if not in_added[i]]
-        crossings = [sum(1 for s in cores if link_crosses(links[i], s)) for i in remaining]
+        crossings = {i: sum(1 for s in cores if link_crosses(links[i], s)) for i in slack}
         for s in cores:
-            if not any(link_crosses(links[i], s) for i in remaining):
+            if not any(link_crosses(links[i], s) for i in slack):
                 raise InfeasibleError(
                     f"small cut {_fmt_cut(s, inst)} is crossed by no available link; no feasible cover exists"
                 )
-        delta = min(
-            (links[i].cost - load[i]) / c
-            for i, c in zip(remaining, crossings)
-            if c > 0
-        )
+        delta = min(slack[i] / c for i, c in crossings.items() if c > 0)
         if delta < 0:
             raise VerificationError("dual increment went negative, loads exceeded costs earlier")
         for s in cores:
             y[s] = y.get(s, Fraction(0)) + delta
-        newly = []
-        for i, c in zip(remaining, crossings):
-            load[i] += delta * c
-            if load[i] > links[i].cost:
+        for i, c in crossings.items():
+            slack[i] -= delta * c
+            if slack[i] < 0:
                 raise VerificationError("dual load exceeded cost, increment was too large")
-            if load[i] == links[i].cost:
-                newly.append(i)
-        newly.sort(key=key)
+        newly = sorted((i for i, left in slack.items() if left == 0), key=key)
         for i in newly:
-            in_added[i] = True
-            added.append(i)
+            del slack[i]
+        added += newly
         if listed is not None:
             listed = [s for s in listed if not any(link_crosses(links[i], s) for i in newly)]
         records.append(
-            IterationRecord(index=it, active_cores=tuple(cores), delta=delta, newly_tight=tuple(newly))
+            IterationRecord(index=len(records) + 1, active_cores=tuple(cores), delta=delta, newly_tight=tuple(newly))
         )
     return added, DualSolution(dict(y)), records
 

@@ -45,6 +45,11 @@ class Mutant:
     tests: tuple[str, ...]  # relative to the repository root
 
 
+# Under one slack mutant no link may reach zero slack, so a run never ends.
+# This test bounds phase 1's `covers` calls and fails such a run; the other
+# tests in tests/test_wgmv.py would loop with memory growing.
+REPLAY = "tests/test_wgmv.py::test_every_phase1_iteration_replays_against_the_dual"
+
 MUTANTS = (
     Mutant(
         "phase kernel ties to the largest row",
@@ -97,6 +102,118 @@ MUTANTS = (
         "link_crosses(links[i], s) for i in newly)]",
         "link_crosses(links[i], s) for i in newly[:1])]",
         ("tests/test_wgmv.py::test_phase1_lists_the_violated_cuts_once_per_run",),
+    ),
+    Mutant(
+        "optimum search's second prune lets ties through",
+        "oracle.py",
+        "total + cheapest[i + 1][r - 1] >= best[0]",
+        "total + cheapest[i + 1][r - 1] > best[0]",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "optimum search never clears the chosen link's nodes",
+        "oracle.py",
+        "left = untouched & ~ends[i]",
+        "left = untouched",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "optimum search clears one end of each link",
+        "oracle.py",
+        "(1 << ln.u | 1 << ln.v) & low",
+        "(1 << ln.u) & low",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "optimum search lets a link clear one node",
+        "oracle.py",
+        "if left.bit_count() > 2 * (r - 1):",
+        "if left.bit_count() > r - 1:",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "optimum search cuts a branch one link late",
+        "oracle.py",
+        "if left.bit_count() > 2 * (r - 1):",
+        "if left.bit_count() > 2 * r:",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "covers contracts the first link only",
+        "covering.py",
+        "_groups(n, ((ln.u, ln.v) for ln in sel))",
+        "_groups(n, ((ln.u, ln.v) for ln in sel[:1]))",
+        ("tests/test_covering.py",),
+    ),
+    Mutant(
+        "_groups drops every union",
+        "multigraph.py",
+        "parent[_root(parent, u)] = _root(parent, v)",
+        "_root(parent, v)",
+        ("tests/test_multigraph.py",),
+    ),
+    Mutant(
+        "MultiGraph counts each degree at one end",
+        "multigraph.py",
+        "degrees[u] += m\n            degrees[v] += m\n",
+        "degrees[u] += m\n",
+        ("tests/test_multigraph.py",),
+    ),
+    Mutant(
+        "the cut table subtracts each crossing edge once",
+        "covering.py",
+        "deg[low] - 2 * cross",
+        "deg[low] - cross",
+        ("tests/test_covering.py",),
+    ),
+    Mutant(
+        "reverse delete walks forward",
+        "wgmv.py",
+        "for idx in reversed(list(added)):",
+        "for idx in list(added):",
+        ("tests/test_wgmv.py",),
+    ),
+    Mutant(
+        "minimal_cuts skips the complements",
+        "covering.py",
+        "        family.add(s.mask)\n        family.add(s.mask ^ full)\n",
+        "        family.add(s.mask)\n",
+        ("tests/test_covering.py",),
+    ),
+    Mutant(
+        "dual_feasible returns True",
+        "wgmv.py",
+        "return all(dual.load(ln) <= ln.cost for ln in inst.links)",
+        "return True",
+        ("tests/test_wgmv.py",),
+    ),
+    Mutant(
+        "phase 1 appends a zero-cost link only once it crosses a core",
+        "wgmv.py",
+        "if left == 0), key=key)",
+        "if left == 0 and crossings[i]), key=key)",
+        ("tests/test_wgmv.py::test_zero_cost_link_crossing_no_core_is_appended_at_once",),
+    ),
+    Mutant(
+        "phase 1 takes each raise off a slack once",
+        "wgmv.py",
+        "slack[i] -= delta * c",
+        "slack[i] -= delta",
+        (REPLAY,),
+    ),
+    Mutant(
+        "phase 1 keeps appended links open",
+        "wgmv.py",
+        "        for i in newly:\n            del slack[i]\n",
+        "",
+        (REPLAY,),
+    ),
+    Mutant(
+        "phase 1 raises by the least slack, not slack / c",
+        "wgmv.py",
+        "min(slack[i] / c for",
+        "min(slack[i] for",
+        (REPLAY,),
     ),
 )
 

@@ -212,6 +212,17 @@ def test_cores_lemma_verifier_passes(q, p, k):
     assert report.passed, report.failures()
 
 
+def test_cores_lemma_verifier_hits_the_node_bound_before_predicting(monkeypatch):
+    # the 2^p - 1 predicted unions must not be built for a family that cannot be enumerated
+    def predict(params):
+        raise AssertionError("predictions built before the enumeration bound was checked")
+
+    monkeypatch.delenv("SCC_ENUM_BOUND", raising=False)
+    monkeypatch.setattr(oracle, "expected_family_slices", predict)
+    with pytest.raises(BoundExceededError, match="23 nodes"):
+        verify_cores_lemma(generate_instance(1, 5, 11))
+
+
 def test_cores_lemma_verifier_catches_br_mutation():
     lab = generate_instance(1, 2, 5)
     edges = [(u, v, m + (1 if (u, v) == (9, 10) else 0)) for u, v, m in lab.instance.graph.edges]

@@ -11,7 +11,7 @@ import pytest
 
 import smallcuts
 
-from smallcuts.covering import Instance, Link, cores_bruteforce, covers, is_minimal_cover
+from smallcuts.covering import Instance, Link, cores_bruteforce, covers, is_minimal_cover, link_crosses
 from smallcuts.errors import InfeasibleError, InvalidParameterError, VerificationError
 from smallcuts.multigraph import Cut, MultiGraph
 from smallcuts.oracle import gap_experiment
@@ -182,6 +182,19 @@ def test_zero_cost_link_tight_at_delta_zero():
     assert res.final_cost(inst) == 0
 
 
+def test_zero_cost_link_crossing_no_core_is_appended_at_once():
+    # cores {0} and {3}; link 0 joins them, link 1 = (1,2) crosses neither and costs 0
+    g = MultiGraph(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)])
+    inst = Instance(graph=g, k=2, links=(Link(0, 3, 1), Link(1, 2, 0)))
+    added, dual, records = phase1(inst)
+    assert [(r.active_cores, r.delta, r.newly_tight) for r in records] == [
+        ((Cut.of([0], 4), Cut.of([3], 4)), Fraction(1, 2), (0, 1))
+    ]
+    assert added == [0, 1]
+    res = run(inst)
+    assert (res.deleted, res.final) == ((1,), (0,))
+
+
 def test_cost_of():
     inst = gadget_instance()
     assert cost_of(inst, (0, 1)) == 3
@@ -333,3 +346,78 @@ def test_family_run_with_first_cores_never_enumerates(monkeypatch, p):
                 _assert_cores_are_the_reference(lab.instance, added, records)
                 assert len(records) == 1
     assert calls == []
+
+
+_POLICY_RANKS = {
+    TiePolicy.ADVERSARIAL: {"red": 0, None: 1, "blue": 2},
+    TiePolicy.HELPFUL: {"blue": 0, None: 1, "red": 2},
+}
+
+
+def _policy_order(inst: Instance, policy: TiePolicy, indices) -> list[int]:
+    """`indices` in the order `policy` appends links that go tight together."""
+    if policy is TiePolicy.COST_ASCENDING:
+        return sorted(indices, key=lambda i: (inst.links[i].cost, i))
+    ranks = _POLICY_RANKS.get(policy)
+    if ranks is None:
+        return sorted(indices)
+    return sorted(indices, key=lambda i: (ranks[inst.links[i].tag], i))
+
+
+def test_every_phase1_iteration_replays_against_the_dual(monkeypatch):
+    """Replays each run from its records with loads summed afresh: every
+    delta is the least (cost - load) / c over the open links crossing c > 0
+    cores, every tight set is the open links that reach their cost, in the
+    policy's order, and the dual is the sum of the raises."""
+    # every iteration appends a link, so a run asks `covers` at most once per
+    # link and once more; failing past that stops a run that never ends
+    asked: list[int] = []
+    original = smallcuts.wgmv.covers
+
+    def bounded(inst, selected):
+        asked.append(1)
+        assert len(asked) <= len(inst.links) + 1, "a phase-1 iteration appended no link"
+        return original(inst, selected)
+
+    monkeypatch.setattr(smallcuts.wgmv, "covers", bounded)
+    rng = random.Random(17017)
+    costs = [Fraction(c, 2) for c in range(5)]
+    feasible = several = zero_cost = 0  # minimizers crossing two or more cores; zero-cost links
+    while feasible < 300:
+        n = rng.randint(3, 10)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = [(u, v, rng.randint(1, 3)) for u, v in pairs if rng.random() < 0.35]
+        links = tuple(
+            Link(u, v, rng.choice(costs), tag=rng.choice((None, "red", "blue")))
+            for u, v in rng.sample(pairs, rng.randint(1, min(len(pairs), 2 * n)))
+        )
+        inst = Instance(graph=MultiGraph(n, edges), k=rng.randint(1, 4), links=links)
+        if not covers(inst, links):
+            continue
+        feasible += 1
+        zero_cost += sum(1 for ln in links if ln.cost == 0)
+        for policy in TiePolicy:
+            asked.clear()
+            added, dual, records = phase1(inst, policy)
+            assert [rec.index for rec in records] == list(range(1, len(records) + 1))
+            load = [Fraction(0)] * len(links)
+            appended: list[int] = []
+            for rec in records:
+                open_ = [i for i in range(len(links)) if i not in appended]
+                c = {i: sum(1 for s in rec.active_cores if link_crosses(links[i], s)) for i in open_}
+                ratios = {i: (links[i].cost - load[i]) / c[i] for i in open_ if c[i] > 0}
+                assert rec.delta == min(ratios.values()), rec.index
+                several += any(c[i] > 1 and ratios[i] == rec.delta for i in ratios)
+                for i in open_:
+                    load[i] += rec.delta * c[i]
+                tight = [i for i in open_ if load[i] == links[i].cost]
+                assert list(rec.newly_tight) == _policy_order(inst, policy, tight), rec.index
+                appended += rec.newly_tight
+            assert added == appended
+            raised = {}
+            for rec in records:
+                for s in rec.active_cores:
+                    raised[s] = raised.get(s, Fraction(0)) + rec.delta
+            assert dual.entries == raised
+    assert several >= 50
+    assert zero_cost >= 20
