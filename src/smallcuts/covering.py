@@ -6,8 +6,9 @@ S, so the cuts a selection leaves uncovered are those of the base graph with
 each selected link's endpoints contracted.  A set of links is a cover when
 every small cut is covered; equivalently, the contracted graph has no cut
 below k.  `covers` tests that at any size with Stoer-Wagner phases, the
-first of which below k is an uncovered core, and `violated_cuts`
-enumerates the contracted graph's small cuts.
+first of which below k is an uncovered core, and `violated_cuts` lists
+the contracted graph's small cuts by a Gray-code walk over all its cuts
+that keeps one crossing weight per row, not one entry per cut.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import BoundExceededError, InvalidParameterError, VerificationError, require_int
@@ -148,27 +150,27 @@ def _fmt_cut(s: Cut, inst: Instance) -> str:
     return "{" + ",".join(inst.graph.label_of(v) for v in s.nodes()) + "}"
 
 
-def _cut_degrees(w: list[list[int]]) -> list[int]:
-    """Cut weight of every subset of the rows of `w` avoiding its last row.
+def _small_masks(w: list[list[int]], k: int) -> list[int]:
+    """Masks of the row sets S of `w` avoiding its last row with d(S) below k.
 
-    `w` is as `_weights` builds it, so a row's degree is its sum.  dp[mask |
-    lowbit] extends dp[mask] by one row via d(S + v) = d(S) + deg(v) - 2w(v, S).
+    `w` is as `_weights` builds it, so a row's degree is its sum.  Every S is
+    walked in Gray-code order (Knuth, TAOCP 4A, 7.2.1.1): step i toggles the
+    row v at the lowest set bit of i, to S = i ^ (i >> 1), so v leaves S when
+    bit v + 1 of i is set.  d(S) moves by ±(deg(v) - 2w(v, S - v)), and
+    cross[u] = w(u, S) is kept per row, so memory is linear in the rows.
     """
-    m = len(w) - 1
     deg = [sum(row) for row in w]
-    dp = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = (mask & -mask).bit_length() - 1
-        prev = mask & (mask - 1)
-        cross = 0
-        row = w[low]
-        rest = prev
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            cross += row[j]
-            rest &= rest - 1
-        dp[mask] = dp[prev] + deg[low] - 2 * cross
-    return dp
+    cross = [0] * len(w)
+    d = 0
+    out = []
+    for i in range(1, 1 << (len(w) - 1)):
+        v = (i & -i).bit_length() - 1
+        op = sub if i >> v & 2 else add  # v leaves S, or joins it
+        d = op(d, deg[v] - 2 * cross[v])
+        cross = list(map(op, cross, w[v]))
+        if d < k:
+            out.append(i ^ i >> 1)
+    return out
 
 
 def violated_cuts(inst: Instance, selected: Iterable[Link]) -> list[Cut]:
@@ -176,9 +178,9 @@ def violated_cuts(inst: Instance, selected: Iterable[Link]) -> list[Cut]:
 
     The cuts no selected link crosses are exactly the unions of the groups
     that merge each link's endpoints, so these are the small cuts of the
-    contracted graph: tabulated over the groups avoiding the root
-    `inst.default_root()`, the last node, and lifted to node sets.  Results
-    sorted by (size, mask).
+    contracted graph: walked over the groups avoiding the root
+    `inst.default_root()`, the last node, one group toggled per step, and
+    lifted to node sets.  Results sorted by (size, mask).
     """
     n = inst.n
     _check_enum_ok(n, "violated_cuts")
@@ -190,11 +192,9 @@ def violated_cuts(inst: Instance, selected: Iterable[Link]) -> list[Cut]:
     group, size = _groups(n, pairs)
     last, root = size - 1, group[inst.default_root()]
     group = [last if x == root else root if x == last else x for x in group]  # root's group last
-    dp = _cut_degrees(_weights(inst.graph, group, size))
     out = []
-    for mask in range(1, len(dp)):
-        if dp[mask] < inst.k:
-            out.append(Cut(sum(1 << v for v in range(n) if mask >> group[v] & 1), n))
+    for mask in _small_masks(_weights(inst.graph, group, size), inst.k):
+        out.append(Cut(sum(1 << v for v in range(n) if mask >> group[v] & 1), n))
     out.sort(key=lambda s: (s.size(), s.mask))
     return out
 

@@ -9,9 +9,10 @@ Run from anywhere, with the test dependencies installed:
 For each mutant the driver copies ``src/`` to a temporary directory,
 replaces the mutant's exact old text by its new text in one file of the
 copy, and runs ``python -m pytest -x -q`` on the mutant's tests against the
-copy, one subprocess at a time.  It exits 1 when a mutant survives (its
-tests pass), or when a mutant's old text does not occur exactly once, so a
-refactor has to re-anchor a mutant rather than lose it.
+copy, one subprocess at a time, each with its address space capped at
+``MEMORY_CAP``.  It exits 1 when a mutant survives (its tests pass), or
+when a mutant's old text does not occur exactly once, so a refactor has to
+re-anchor a mutant rather than lose it.
 
 The no-op mutant changes nothing and runs every test the table names, so it
 must survive.  If it is killed, a named test is missing or fails on the
@@ -24,6 +25,7 @@ collecting it.
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -34,6 +36,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600
+# A mutant's pytest may use this much address space, so a mutant that loops
+# allocating dies with a MemoryError instead of filling a shared host.
+MEMORY_CAP = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -47,8 +52,11 @@ class Mutant:
 
 # Under one slack mutant no link may reach zero slack, so a run never ends.
 # This test bounds phase 1's `covers` calls and fails such a run; the other
-# tests in tests/test_wgmv.py would loop with memory growing.
+# tests in tests/test_wgmv.py would loop with memory growing until the
+# child's address-space cap (MEMORY_CAP) stops them with a MemoryError.
 REPLAY = "tests/test_wgmv.py::test_every_phase1_iteration_replays_against_the_dual"
+# It pins every mask's cut degree, so it kills each cut-walk mutant by itself.
+WALK = "tests/test_covering.py::test_small_masks_returns_exactly_the_masks_below_each_k_on_random_graphs"
 
 MUTANTS = (
     Mutant(
@@ -160,11 +168,25 @@ MUTANTS = (
         ("tests/test_multigraph.py",),
     ),
     Mutant(
-        "the cut table subtracts each crossing edge once",
+        "the cut walk subtracts each crossing edge once",
         "covering.py",
-        "deg[low] - 2 * cross",
-        "deg[low] - cross",
-        ("tests/test_covering.py",),
+        "deg[v] - 2 * cross[v]",
+        "deg[v] - cross[v]",
+        (WALK,),
+    ),
+    Mutant(
+        "the cut walk keeps the cuts of degree k",
+        "covering.py",
+        "if d < k:",
+        "if d <= k:",
+        (WALK,),
+    ),
+    Mutant(
+        "the cut walk stops one set short",
+        "covering.py",
+        "for i in range(1, 1 << (len(w) - 1)):",
+        "for i in range(1, (1 << (len(w) - 1)) - 1):",
+        (WALK,),
     ),
     Mutant(
         "reverse delete walks forward",
@@ -248,13 +270,18 @@ def run_mutant(mutant: Mutant) -> tuple[str, float, str]:
         try:
             proc = subprocess.run(
                 cmd, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                text=True, timeout=TIMEOUT_S, env=_env(),
+                text=True, timeout=TIMEOUT_S, env=_env(), preexec_fn=_cap_memory,
             )
         except subprocess.TimeoutExpired:
             return "timeout", time.perf_counter() - start, f"tests ran past {TIMEOUT_S} s"
         seconds = time.perf_counter() - start
     tail = "\n".join(proc.stdout.splitlines()[-5:])
     return ("killed" if proc.returncode else "survived"), seconds, tail
+
+
+def _cap_memory() -> None:
+    """Runs in the child between fork and exec, so the cap is the child's alone."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
 def _env() -> dict[str, str]:

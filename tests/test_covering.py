@@ -1,12 +1,13 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from smallcuts.covering import (
     Instance,
-    _cut_degrees,
+    _small_masks,
     _uncovered_core,
     Link,
     as_cost,
@@ -144,10 +145,18 @@ def test_violated_cuts_empty_selection_matches_inline_enumeration():
     assert len(got) == 7
 
 
-def test_cut_degree_table_matches_cut_degree_on_random_graphs():
-    """Every mask of the table, not only those below k, on graphs that are
+def _assert_walk_returns_masks_below_every_k(w, degree):
+    """`degree[mask]` is the cut degree of every nonempty row mask.  The walk
+    must return exactly the masks below k, each once, at k = 1 and at k =
+    d + 1 for every degree d that occurs, which pins each mask's degree."""
+    for k in {1} | {d + 1 for d in degree.values()}:
+        assert sorted(_small_masks(w, k)) == sorted(m for m, d in degree.items() if d < k)
+
+
+def test_small_masks_returns_exactly_the_masks_below_each_k_on_random_graphs():
+    """Every mask's degree, not only those below one k, on graphs that are
     often disconnected or leave the last node isolated; then on the same
-    graph with nodes grouped at random, where each row mask's entry is the
+    graph with nodes grouped at random, where a row mask's degree is the
     cut degree of the nodes its groups make up."""
     rng = random.Random(2046)
     group_rng = random.Random(2047)
@@ -161,20 +170,33 @@ def test_cut_degree_table_matches_cut_degree_on_random_graphs():
         if trial % 3 == 0:
             edges = [(u, v, m) for u, v, m in edges if v != n - 1]
         g = MultiGraph(n, edges)
-        dp = _cut_degrees(_weights(g, range(n), n))
-        assert len(dp) == 1 << (n - 1) and dp[0] == 0
-        assert all(dp[mask] == cut_degree(g, Cut(mask, n)) for mask in range(1, 1 << (n - 1)))
+        degree = {mask: cut_degree(g, Cut(mask, n)) for mask in range(1, 1 << (n - 1))}
+        _assert_walk_returns_masks_below_every_k(_weights(g, range(n), n), degree)
         disconnected += global_min_cut(g)[0] == 0
         isolated_last += g.node_degree(n - 1) == 0
         pairs = [tuple(group_rng.sample(range(n), 2)) for _ in range(group_rng.randint(0, n - 1))]
         group, size = _groups(n, pairs)
-        dp = _cut_degrees(_weights(g, group, size))
-        assert len(dp) == 1 << (size - 1) and dp[0] == 0
-        for mask in range(1, 1 << (size - 1)):
-            nodes = [v for v in range(n) if mask >> group[v] & 1]
-            assert dp[mask] == cut_degree(g, Cut.of(nodes, n))
+        degree = {
+            mask: cut_degree(g, Cut.of([v for v in range(n) if mask >> group[v] & 1], n))
+            for mask in range(1, 1 << (size - 1))
+        }
+        _assert_walk_returns_masks_below_every_k(_weights(g, group, size), degree)
         grouped += 2 < size < n
     assert disconnected >= 40 and isolated_last >= 40 and grouped >= 40
+
+
+def test_violated_cuts_memory_stays_linear_in_the_nodes():
+    """The p = 3 family has 15 nodes, so one entry per cut avoiding the root
+    is 2^14 list slots, 128 KiB; the walk keeps a few rows and the 31 cuts."""
+    inst = generate_instance(1, 3, 7).instance
+    tracemalloc.start()
+    try:
+        cuts = violated_cuts(inst, ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cuts) == 31
+    assert peak < 12 * 1024
 
 
 def test_violated_cuts_sorted_and_selection_aware():
