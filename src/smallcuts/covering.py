@@ -8,7 +8,8 @@ every small cut is covered; equivalently, the contracted graph has no cut
 below k.  `covers` tests that at any size with Stoer-Wagner phases, the
 first of which below k is an uncovered core, and `violated_cuts` lists
 the contracted graph's small cuts by a Gray-code walk over all its cuts
-that keeps one crossing weight per row, not one entry per cut.
+that keeps one crossing weight per row, not one entry per cut, and whose
+step touches only the toggled row's neighbours.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import BoundExceededError, InvalidParameterError, VerificationError, require_int
@@ -157,17 +157,26 @@ def _small_masks(w: list[list[int]], k: int) -> list[int]:
     walked in Gray-code order (Knuth, TAOCP 4A, 7.2.1.1): step i toggles the
     row v at the lowest set bit of i, to S = i ^ (i >> 1), so v leaves S when
     bit v + 1 of i is set.  d(S) moves by ±(deg(v) - 2w(v, S - v)), and
-    cross[u] = w(u, S) is kept per row, so memory is linear in the rows.
+    cross[u] = w(u, S) is kept per row, so memory is linear in the rows and
+    edges.  A step touches only the toggled row's neighbours: their
+    (row, multiplicity) pairs are listed once per call.
     """
     deg = [sum(row) for row in w]
+    adj = [[(u, x) for u, x in enumerate(row) if x] for row in w]
     cross = [0] * len(w)
     d = 0
     out = []
     for i in range(1, 1 << (len(w) - 1)):
         v = (i & -i).bit_length() - 1
-        op = sub if i >> v & 2 else add  # v leaves S, or joins it
-        d = op(d, deg[v] - 2 * cross[v])
-        cross = list(map(op, cross, w[v]))
+        step = deg[v] - 2 * cross[v]
+        if i >> v & 2:  # v leaves S
+            d -= step
+            for u, x in adj[v]:
+                cross[u] -= x
+        else:
+            d += step
+            for u, x in adj[v]:
+                cross[u] += x
         if d < k:
             out.append(i ^ i >> 1)
     return out

@@ -189,6 +189,20 @@ MUTANTS = (
         (WALK,),
     ),
     Mutant(
+        "the cut walk adds a leaving row's multiplicities",
+        "covering.py",
+        "cross[u] -= x",
+        "cross[u] += x",
+        (WALK,),
+    ),
+    Mutant(
+        "the cut walk's adjacency drops multiplicity-1 edges",
+        "covering.py",
+        "enumerate(row) if x]",
+        "enumerate(row) if x > 1]",
+        (WALK,),
+    ),
+    Mutant(
         "reverse delete walks forward",
         "wgmv.py",
         "for idx in reversed(list(added)):",

@@ -276,6 +276,14 @@ def test_verify_report_is_pinned(q, p, k, tmp_path, capsys):
     assert out.read_bytes() == want
 
 
+def test_verify_past_the_default_node_bound_is_pinned(monkeypatch, capsys):
+    """The family at p = 5 has 23 nodes, one past DEFAULT_ENUM_BOUND."""
+    monkeypatch.setenv("SCC_ENUM_BOUND", "23")
+    assert main(["verify", "--q", "1", "--p", "5", "--k", "11"]) == 0
+    want = (GOLDEN / "verify_q1_p5_k11.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == want
+
+
 SWEEP_KS = ["5", "6", "7", "8", "9", "10", "11", "12"]
 
 

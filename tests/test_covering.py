@@ -157,7 +157,8 @@ def test_small_masks_returns_exactly_the_masks_below_each_k_on_random_graphs():
     """Every mask's degree, not only those below one k, on graphs that are
     often disconnected or leave the last node isolated; then on the same
     graph with nodes grouped at random, where a row mask's degree is the
-    cut degree of the nodes its groups make up."""
+    cut degree of the nodes its groups make up; then on a few graphs with
+    multiplicities above 2^64."""
     rng = random.Random(2046)
     group_rng = random.Random(2047)
     disconnected = isolated_last = grouped = 0
@@ -183,6 +184,19 @@ def test_small_masks_returns_exactly_the_masks_below_each_k_on_random_graphs():
         _assert_walk_returns_masks_below_every_k(_weights(g, group, size), degree)
         grouped += 2 < size < n
     assert disconnected >= 40 and isolated_last >= 40 and grouped >= 40
+    # Multiplicities are unbounded ints: a few above 2^64 beside small ones,
+    # so a walk that kept machine-width crossing weights would wrap.
+    wide_rng = random.Random(2048)
+    for n in range(4, 10):
+        edges = [
+            (u, v, wide_rng.randint(1, 6) + wide_rng.choice([0, 1 << 64, 3 << 64]))
+            for u, v in itertools.combinations(range(n), 2)
+            if wide_rng.random() < 0.6
+        ]
+        assert max(m for _, _, m in edges) > 1 << 64
+        g = MultiGraph(n, edges)
+        degree = {mask: cut_degree(g, Cut(mask, n)) for mask in range(1, 1 << (n - 1))}
+        _assert_walk_returns_masks_below_every_k(_weights(g, range(n), n), degree)
 
 
 def test_violated_cuts_memory_stays_linear_in_the_nodes():
