@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from fractions import Fraction
 from typing import Sequence
 
-from .covering import as_cost
 from .errors import (
     BoundExceededError,
     ConstructionError,
@@ -129,12 +127,8 @@ def _emit(text: str, out: str | None) -> None:
         print(f"wrote {out}")
 
 
-def _epsilon(args: argparse.Namespace) -> Fraction:
-    return as_cost("0" if args.epsilon is None else args.epsilon)
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
-    labeled = generate_instance(args.q, args.p, args.k, _epsilon(args))
+    labeled = generate_instance(args.q, args.p, args.k, 0 if args.epsilon is None else args.epsilon)
     _emit(instance_to_text(labeled.instance), args.out)
     return 0
 
@@ -181,7 +175,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         if args.q is None or args.p is None or args.k is None:
             raise InvalidParameterError("pass an instance path or all of --q, --p, --k")
-        labeled = generate_instance(args.q, args.p, args.k, _epsilon(args))
+        labeled = generate_instance(args.q, args.p, args.k, 0 if args.epsilon is None else args.epsilon)
         exact = True
 
     reports = [verify_cores_lemma(labeled), verify_feasibility_lemma(labeled)]

@@ -15,7 +15,7 @@ step touches only the toggled row's neighbours.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -58,16 +58,18 @@ def _check_enum_ok(n: int, what: str) -> None:
 def as_cost(value: object) -> Fraction:
     """Normalize a cost to an exact nonnegative Fraction.
 
-    Accepts int, Fraction, and strings like "3", "5/2", or "0.01" (decimal
-    strings are exact).  Float objects are rejected: costs feed exact dual
-    arithmetic and must not arrive already rounded to binary, and exponent
-    notation is rejected.
+    Accepts int, Fraction (returned as handed), and strings like "3", "5/2",
+    or "0.01" (decimal strings are exact).  Float objects are rejected:
+    costs feed exact dual arithmetic and must not arrive already rounded to
+    binary, and exponent notation is rejected.
     """
     if isinstance(value, bool):
         raise InvalidParameterError(f"cost must be a number, got {value!r}")
     if isinstance(value, float):
         raise InvalidParameterError(f"float cost {value!r} rejected; pass an exact fraction")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, Fraction):
+        cost = value
+    elif isinstance(value, int):
         cost = Fraction(value)
     elif isinstance(value, str):
         if "e" in value.lower():  # Fraction would expand "1e10000000" in full
@@ -113,11 +115,17 @@ class Link:
 
 @dataclass(frozen=True)
 class Instance:
-    """A covering problem: base graph, threshold k, and candidate links."""
+    """A covering problem: base graph, threshold k, and candidate links.
+
+    `below_k`, the mask of the nodes of degree below k, is derived here
+    once.  Such a node is a small cut on its own that only a link at it
+    covers; `covers`' screen and the optimum search's prune both read it.
+    """
 
     graph: MultiGraph
     k: int
     links: tuple[Link, ...]
+    below_k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         require_int(self.k, "threshold k")
@@ -128,6 +136,8 @@ class Instance:
             if ln.u >= self.graph.n or ln.v >= self.graph.n:
                 raise _out_of_range(ln, self.graph.n)
         object.__setattr__(self, "links", links)
+        degrees = map(self.graph.node_degree, range(self.graph.n))
+        object.__setattr__(self, "below_k", sum(1 << v for v, d in enumerate(degrees) if d < self.k))
 
     @property
     def n(self) -> int:
@@ -216,29 +226,27 @@ def covers_by_enumeration(inst: Instance, selected: Iterable[Link]) -> bool:
 def _uncovered_core(inst: Instance, selected: Iterable[Link]) -> int | None:
     """Node mask of a core `selected` leaves uncovered, or None if it covers.
 
-    An untouched node below k is a core by itself.  Otherwise the selected
-    links are contracted, since no uncovered cut separates a link's ends,
-    and Stoer-Wagner phases run until one falls below k.  Each earlier phase
-    merged two rows that no cut below k separates, so every core is a union
-    of rows; the last row of that phase is below k, so it holds a core and
-    is one.
+    An untouched node of `inst.below_k` is a core by itself, and the lowest
+    such node is returned.  Otherwise the selected links are contracted,
+    since no uncovered cut separates a link's ends, and Stoer-Wagner phases
+    run until one falls below k.  Each earlier phase merged two rows that no
+    cut below k separates, so every core is a union of rows; the last row
+    of that phase is below k, so it holds a core and is one.
     """
     sel = list(selected)
     g = inst.graph
     k = inst.k
     n = g.n
-    touched = [0] * n
-    try:  # endpoints are nonnegative, so only one past the last node raises
-        for ln in sel:
-            touched[ln.u] = 1
-            touched[ln.v] = 1
-    except IndexError:
-        raise _out_of_range(ln, n) from None
+    touched = 0
+    for ln in sel:
+        if ln.u >= n or ln.v >= n:
+            raise _out_of_range(ln, n)
+        touched |= 1 << ln.u | 1 << ln.v
     if n < 2:
         return None
-    for v in range(n):
-        if not touched[v] and g.node_degree(v) < k:
-            return 1 << v
+    left = inst.below_k & ~touched
+    if left:
+        return left & -left
     group, size = _groups(n, ((ln.u, ln.v) for ln in sel))
     for value, rows in min_cut_phases(_weights(g, group, size)):
         if value < k:

@@ -95,12 +95,13 @@ def brute_force_optimum(inst: Instance) -> tuple[Fraction, tuple[int, ...]]:
     the incumbent, no larger subset can either, and the search stops.
     Within a size, combinations are walked depth first in lexicographic
     order, and a branch is cut when its cheapest completion is not strictly
-    cheaper than the incumbent.  A node of degree below k is a small cut on
+    cheaper than the incumbent.  A node of `inst.below_k` is a small cut on
     its own that only a link at it covers, so a branch is also cut when its
-    untouched such nodes outnumber twice the links left to pick.  So
-    `covers` is asked, in lexicographic order, about exactly the
-    combinations that would beat the incumbent and touch every node below
-    k: the full enumeration's questions minus those its degree screen
+    untouched such nodes outnumber what the links left to pick can touch:
+    `most[j]`, the most of them any one of links j..m-1 touches, times the
+    links left.  So `covers` is asked, in lexicographic order, about exactly
+    the combinations that would beat the incumbent and touch every node
+    below k: the full enumeration's questions minus those its degree screen
     answers False.  The first cover found wins ties.
     """
     links = inst.links
@@ -118,13 +119,15 @@ def brute_force_optimum(inst: Instance) -> tuple[Fraction, tuple[int, ...]]:
     cheapest = [[0, *itertools.accumulate(sorted(costs[i:]))] for i in range(m + 1)]
     # Every subset costs at most sum(costs), so this incumbent loses to any.
     best: tuple[int, tuple[int, ...]] = (sum(costs) + 1, ())
-    g = inst.graph
-    low = sum(1 << v for v in range(g.n) if g.node_degree(v) < inst.k)
+    low = inst.below_k
     ends = [(1 << ln.u | 1 << ln.v) & low for ln in links]  # the nodes below k each link touches
+    most = [0] * (m + 1)  # most[j]: the most nodes below k any one of links j..m-1 touches
+    for i in reversed(range(m)):
+        most[i] = max(most[i + 1], ends[i].bit_count())
     for size in range(1, m + 1):
         if cheapest[0][size] >= best[0]:
             break
-        best = _cheapest_cover_of_size(inst, costs, cheapest, ends, [], 0, low, size, best)
+        best = _cheapest_cover_of_size(inst, costs, cheapest, ends, most, [], 0, low, size, best)
     cost, combo = best
     if not combo:
         raise VerificationError("feasible overall but no subset found; enumeration is broken")
@@ -138,6 +141,7 @@ def _cheapest_cover_of_size(
     costs: list[int],
     cheapest: list[list[int]],
     ends: list[int],
+    most: list[int],
     chosen: list[int],
     cost: int,
     untouched: int,
@@ -159,11 +163,11 @@ def _cheapest_cover_of_size(
         if total + cheapest[i + 1][r - 1] >= best[0]:
             continue
         left = untouched & ~ends[i]
-        if left.bit_count() > 2 * (r - 1):
-            continue  # each link still to pick touches at most two of them
+        if left.bit_count() > most[i + 1] * (r - 1):
+            continue  # each link still to pick touches at most most[i + 1] of them
         chosen.append(i)
         if r > 1:
-            best = _cheapest_cover_of_size(inst, costs, cheapest, ends, chosen, total, left, r - 1, best)
+            best = _cheapest_cover_of_size(inst, costs, cheapest, ends, most, chosen, total, left, r - 1, best)
         elif covers(inst, [inst.links[j] for j in chosen]):
             best = (total, tuple(chosen))
         chosen.pop()

@@ -13,7 +13,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .covering import Instance, Link, as_cost
+from .covering import Instance, Link
 from .errors import InvalidParameterError, require_int
 from .multigraph import MultiGraph
 from .oracle import GapResult, SweepRow, VerifierReport
@@ -113,14 +113,12 @@ def instance_from_obj(obj: Any) -> Instance:
     nodes = obj["nodes"]
     _require(isinstance(nodes, list) and nodes, "nodes must be a nonempty list")
     n = len(nodes)
-    labels: list[str | None] = [None] * n
+    labels: dict[int, Any] = {}  # MultiGraph checks that each label is a string
     for entry in nodes:
         _require(isinstance(entry, dict), "each node must be an object")
         v = require_int(entry.get("id"), "node id")
-        _require(0 <= v < n and labels[v] is None, f"node ids must be 0..{n - 1} without repeats")
-        label = entry.get("label", str(v))
-        _require(isinstance(label, str), f"node {v} label must be a string")
-        labels[v] = label
+        _require(0 <= v < n and v not in labels, f"node ids must be 0..{n - 1} without repeats")
+        labels[v] = entry.get("label", str(v))
     edges = []
     _require(isinstance(obj["edges"], list), "edges must be a list")
     for entry in obj["edges"]:
@@ -130,17 +128,8 @@ def instance_from_obj(obj: Any) -> Instance:
     _require(isinstance(obj["links"], list), "links must be a list")
     for entry in obj["links"]:
         _require(isinstance(entry, dict), "each link must be an object")
-        cost = entry.get("cost")
-        _require(isinstance(cost, (str, int)) and not isinstance(cost, bool), "link cost must be a string or integer")
-        links.append(
-            Link(
-                u=entry.get("u"),
-                v=entry.get("v"),
-                cost=as_cost(cost),
-                tag=entry.get("tag"),
-            )
-        )
-    graph = MultiGraph(n, edges, labels=labels)
+        links.append(Link(u=entry.get("u"), v=entry.get("v"), cost=entry.get("cost"), tag=entry.get("tag")))
+    graph = MultiGraph(n, edges, labels=[labels[v] for v in range(n)])
     return Instance(graph=graph, k=obj["k"], links=tuple(links))
 
 

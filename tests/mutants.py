@@ -68,10 +68,10 @@ MUTANTS = (
     ),
     Mutant(
         "optimum search counts degree k as below k",
-        "oracle.py",
-        "if g.node_degree(v) < inst.k)",
-        "if g.node_degree(v) <= inst.k)",
-        ("tests/test_oracle.py",),
+        "covering.py",
+        "if d < self.k)",
+        "if d <= self.k)",
+        ("tests/test_covering.py", "tests/test_oracle.py"),
     ),
     Mutant(
         "uncovered core is the last phase below k, not the first",
@@ -90,10 +90,7 @@ MUTANTS = (
     Mutant(
         "covers drops the degree screen",
         "covering.py",
-        """    for v in range(n):
-        if not touched[v] and g.node_degree(v) < k:
-            return 1 << v
-""",
+        "    if left:\n        return left & -left\n",
         "",
         ("tests/test_cli.py::test_verify_reads_the_colors_from_the_tags",),
     ),
@@ -135,15 +132,22 @@ MUTANTS = (
     Mutant(
         "optimum search lets a link clear one node",
         "oracle.py",
-        "if left.bit_count() > 2 * (r - 1):",
+        "if left.bit_count() > most[i + 1] * (r - 1):",
         "if left.bit_count() > r - 1:",
         ("tests/test_oracle.py",),
     ),
     Mutant(
         "optimum search cuts a branch one link late",
         "oracle.py",
-        "if left.bit_count() > 2 * (r - 1):",
-        "if left.bit_count() > 2 * r:",
+        "if left.bit_count() > most[i + 1] * (r - 1):",
+        "if left.bit_count() > most[i + 1] * r:",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "optimum search's bound forgets later links",
+        "oracle.py",
+        "max(most[i + 1], ends[i].bit_count())",
+        "ends[i].bit_count()",
         ("tests/test_oracle.py",),
     ),
     Mutant(

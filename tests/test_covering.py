@@ -392,9 +392,13 @@ def test_uncovered_core_is_one_of_the_cores_on_random_instances():
             pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < keep]
         chosen = [Link(u, v, 1) for u, v in pairs]
         inst = Instance(graph=g, k=k, links=tuple(chosen))
+        assert inst.below_k == sum(1 << v for v in range(n) if g.node_degree(v) < k)
         core = _uncovered_core(inst, chosen)
         cores = [s.mask for s in cores_bruteforce(inst, chosen)]
         assert (core is None) == (not cores)
+        lone = [v for v in range(n) if g.node_degree(v) < k and not any(v in pair for pair in pairs)]
+        if n >= 2 and lone:
+            assert core == 1 << lone[0]  # the screen returns the smallest untouched node below k
         disconnected += _groups(n, ((u, v) for u, v, _ in g.edges))[1] > 1
         if core is None:
             continue

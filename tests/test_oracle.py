@@ -206,6 +206,28 @@ def test_optimum_matches_enumerator_and_its_covers_calls(monkeypatch):
     assert asked * 5 < enumerated  # the screen answers most of the enumeration
 
 
+@pytest.mark.parametrize(
+    "epsilon,optimum,calls",
+    [(0, (6, (0, 1, 2, 3, 4)), 20), (Fraction(1, 100), (Fraction(151, 25), (0, 1, 2, 3, 7)), 107)],
+)
+def test_optimum_search_bounds_a_branch_by_the_most_any_later_link_touches(monkeypatch, epsilon, optimum, calls):
+    """At p = 4 a link touches at most one node below k, not two, so each
+    link still to pick clears one of them: a constant bound of two per link
+    makes 308 and 626 searches here."""
+    count = 0
+    search = oracle._cheapest_cover_of_size
+
+    def counting_search(*args):
+        nonlocal count
+        count += 1
+        return search(*args)
+
+    monkeypatch.setattr(oracle, "_cheapest_cover_of_size", counting_search)
+    inst = generate_instance(1, 4, 9, epsilon).instance
+    assert brute_force_optimum(inst) == optimum
+    assert count == calls
+
+
 @pytest.mark.parametrize("q,p,k", [(1, 1, 3), (1, 2, 5), (2, 2, 9)])
 def test_cores_lemma_verifier_passes(q, p, k):
     report = verify_cores_lemma(generate_instance(q, p, k))

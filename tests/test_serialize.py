@@ -86,6 +86,10 @@ def _valid_obj():
         lambda o: o["edges"][0].update(mult=1.5),
         lambda o: o["edges"][0].update(u="0"),
         lambda o: o["links"][0].update(v=True),
+        lambda o: o["links"][0].update(cost=True),
+        lambda o: o["links"][0].update(cost=None),
+        lambda o: o["links"][0].update(cost=[1]),
+        lambda o: o["nodes"][0].update(label=5),
     ],
 )
 def test_parse_rejects_malformed(mangle):
