@@ -67,15 +67,6 @@ def _add_epsilon(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_policy(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--policy",
-        choices=[p.value for p in TiePolicy],
-        default=TiePolicy.ADVERSARIAL.value,
-        help="ordering of links that go tight together (default adversarial)",
-    )
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: argparse objects hold reference
@@ -93,7 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run the two-phase algorithm on an instance file")
     solve.add_argument("instance", help="instance JSON path")
-    _add_policy(solve)
+    solve.add_argument(
+        "--policy",
+        choices=[p.value for p in TiePolicy],
+        default=TiePolicy.ADVERSARIAL.value,
+        help="ordering of links that go tight together (default adversarial)",
+    )
     solve.add_argument("--trace", help="write the run trace JSON here")
     solve.set_defaults(func=cmd_solve)
 
@@ -149,7 +145,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     for i in result.final:
         ln = inst.links[i]
         tag = f" [{ln.tag}]" if ln.tag else ""
-        print(f"  {i}: {inst.graph.label_of(ln.u)}-{inst.graph.label_of(ln.v)} cost {fraction_text(ln.cost)}{tag}")
+        print(f"  {i}: {inst.graph.labels[ln.u]}-{inst.graph.labels[ln.v]} cost {fraction_text(ln.cost)}{tag}")
     cost = cost_of(inst, result.final)
     dual = result.dual.objective()
     print(f"cost {fraction_text(cost)}, dual {fraction_text(dual)}")
@@ -180,14 +176,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     reports = [verify_cores_lemma(labeled), verify_feasibility_lemma(labeled)]
     gap = gap_experiment(labeled, policy=TiePolicy.ADVERSARIAL) if exact else None
-    failures = 0
     for report in reports:
         for check in report.checks:
             status = "PASS" if check.passed else "FAIL"
             print(f"{status} {report.title}: {check.name}")
             if not check.passed:
-                failures += 1
                 print(f"     {check.detail}")
+    failures = sum(len(report.failures()) for report in reports)
     if gap is not None:
         print(
             f"gap: alg {fraction_text(gap.alg_cost)}, opt {fraction_text(gap.opt_cost)}"

@@ -157,7 +157,7 @@ def link_crosses(link: Link, s: Cut) -> bool:
 
 
 def _fmt_cut(s: Cut, inst: Instance) -> str:
-    return "{" + ",".join(inst.graph.label_of(v) for v in s.nodes()) + "}"
+    return "{" + ",".join(inst.graph.labels[v] for v in s.nodes()) + "}"
 
 
 def _small_masks(w: list[list[int]], k: int) -> list[int]:

@@ -56,9 +56,6 @@ class Cut:
     def size(self) -> int:
         return self.mask.bit_count()
 
-    def complement(self) -> "Cut":
-        return Cut(self.mask ^ ((1 << self.n) - 1), self.n)
-
     def __repr__(self) -> str:
         return f"Cut({{{','.join(map(str, self.nodes()))}}}, n={self.n})"
 
@@ -129,21 +126,14 @@ class MultiGraph:
         key = (u, v) if u < v else (v, u)
         return next((m for a, b, m in self.edges if (a, b) == key), 0)
 
-    def label_of(self, v: int) -> str:
-        return self.labels[v]
-
     def __repr__(self) -> str:
         return f"MultiGraph(n={self.n}, edges={len(self.edges)})"
 
 
-def _check_ambient(g: MultiGraph, s: Cut) -> None:
-    if s.n != g.n:
-        raise InvalidParameterError(f"cut over {s.n} nodes applied to graph with {g.n} nodes")
-
-
 def cut_degree(g: MultiGraph, s: Cut) -> int:
     """Total multiplicity of edges with exactly one endpoint in s."""
-    _check_ambient(g, s)
+    if s.n != g.n:
+        raise InvalidParameterError(f"cut over {s.n} nodes applied to graph with {g.n} nodes")
     mask = s.mask
     return sum(m for u, v, m in g.edges if (mask >> u & 1) != (mask >> v & 1))
 

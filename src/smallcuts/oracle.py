@@ -24,7 +24,7 @@ from .covering import (
     minimal_cuts,
     violated_cuts,
 )
-from .errors import BoundExceededError, InfeasibleError, VerificationError
+from .errors import BoundExceededError, InfeasibleError, InvalidParameterError, VerificationError
 from .multigraph import Cut, cut_degree
 from .tightgen import (
     GadgetParams,
@@ -32,9 +32,10 @@ from .tightgen import (
     a_union,
     analytic_cores,
     axis,
+    c_set,
     degree_identities,
     degree_sums,
-    expected_family_slices,
+    expected_slice,
     generate_instance,
     unique_covers,
 )
@@ -66,7 +67,6 @@ class VerifierReport:
 @dataclass(frozen=True)
 class GapResult:
     params: GadgetParams
-    policy: TiePolicy
     alg_cost: Fraction
     opt_cost: Fraction
     dual_obj: Fraction
@@ -219,9 +219,8 @@ def verify_cores_lemma(labeled: LabeledInstance) -> VerifierReport:
 
     # enumerate first: past the node bound this raises before the 2^p predictions are built
     fr = violated_cuts(inst, ())
-    expected = expected_family_slices(params)
     got_cores = minimal_cuts(inst, fr)
-    want_cores = list(expected.cores)
+    want_cores = analytic_cores(params)
     checks.append(
         Check(
             "cores of the empty selection",
@@ -230,9 +229,9 @@ def verify_cores_lemma(labeled: LabeledInstance) -> VerifierReport:
         )
     )
 
-    c_mask = expected.c.mask
+    c_mask = c_set(params).mask
     got_slice = [s for s in fr if s.mask & c_mask != c_mask]
-    want_slice = list(expected.fr_minus_frc)
+    want_slice = expected_slice(params)
     missing = [s for s in want_slice if s not in got_slice]
     extra = [s for s in got_slice if s not in want_slice]
     detail = f"{len(got_slice)} enumerated, {len(want_slice)} predicted"
@@ -310,35 +309,35 @@ def gap_experiment(
     """Run the two-phase algorithm against the exact optimum.
 
     Phase 1 starts from the closed-form cores of `labeled.params`.  The
-    optimum is enumerated when the link count is within bound.  Above the
-    bound it is certified, and flagged as analytic: when the feasible dual's
-    objective equals the cost of the blue links and they cover, weak duality
-    makes that cost the optimum.  Otherwise BoundExceededError is raised.
+    optimum is enumerated by brute_force_optimum.  When that search refuses
+    the instance as too large, the optimum is certified instead, and flagged
+    as analytic: when the feasible dual's objective equals the cost of the
+    blue links and they cover, weak duality makes that cost the optimum.
+    Otherwise the search's BoundExceededError is raised again.
     """
     params = labeled.params
     inst = labeled.instance
     result = run(inst, policy=policy, first_cores=analytic_cores(params))
-    alg_cost = result.final_cost(inst)
+    alg_cost = cost_of(inst, result.final)
     dual_obj = result.dual.objective()
     if not dual_feasible(inst, result.dual):
         raise VerificationError("phase 1 produced an infeasible dual")
-    analytic = len(inst.links) > DEFAULT_LINK_BOUND
-    if analytic:
+    try:
+        opt_cost, _ = brute_force_optimum(inst)
+        analytic = False
+    except BoundExceededError as e:
         opt_cost = cost_of(inst, labeled.blue_links)
         if opt_cost != dual_obj or not covers(inst, labeled.blue()):
             raise BoundExceededError(
-                f"{len(inst.links)} links exceed the bound {DEFAULT_LINK_BOUND} and the dual "
-                "objective does not certify the blue links as an optimal cover"
-            )
-    else:
-        opt_cost, _ = brute_force_optimum(inst)
+                f"{e}, and the dual objective does not certify the blue links as an optimal cover"
+            ) from None
+        analytic = True
     if dual_obj > opt_cost:
         raise VerificationError(f"dual objective {dual_obj} exceeds the optimum {opt_cost}")
     if alg_cost > 5 * dual_obj:
         raise VerificationError(f"cost {alg_cost} exceeds 5 times the dual bound {dual_obj}")
     return GapResult(
         params=params,
-        policy=result.policy,
         alg_cost=alg_cost,
         opt_cost=opt_cost,
         dual_obj=dual_obj,
@@ -356,6 +355,8 @@ def gap_sweep(k_list: Sequence[int]) -> list[SweepRow]:
     """
     rows = []
     for k in k_list:
+        if k < 3:
+            raise InvalidParameterError(f"the sweep requires k >= 3, got k={k}")
         p = (k - 1) // 2
         res = gap_experiment(generate_instance(1, p, k), policy=TiePolicy.ADVERSARIAL)
         formula = Fraction(5 * p, p + 2)

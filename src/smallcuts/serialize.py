@@ -88,7 +88,7 @@ def instance_to_obj(inst: Instance) -> dict:
     g = inst.graph
     return {
         "k": inst.k,
-        "nodes": [{"id": v, "label": g.label_of(v)} for v in range(g.n)],
+        "nodes": [{"id": v, "label": label} for v, label in enumerate(g.labels)],
         "edges": [{"u": u, "v": v, "mult": m} for u, v, m in g.edges],
         "links": [
             {"u": ln.u, "v": ln.v, "cost": fraction_str(ln.cost), "tag": ln.tag}
@@ -155,13 +155,9 @@ def read_instance(path: str) -> Instance:
     return instance_from_text(text)
 
 
-def _cut_key(nodes: tuple[int, ...]) -> str:
-    return ",".join(str(v) for v in nodes)
-
-
 def trace_to_obj(result: RunResult, inst: Instance) -> dict:
     duals = {
-        _cut_key(s.nodes()): fraction_str(y)
+        ",".join(str(v) for v in s.nodes()): fraction_str(y)
         for s, y in sorted(result.dual.entries.items(), key=lambda kv: kv[0].nodes())
     }
     return {
@@ -200,7 +196,7 @@ def gap_to_obj(gap: GapResult) -> dict:
         "p": gap.params.p,
         "k": gap.params.k,
         "epsilon": fraction_str(gap.params.epsilon),
-        "policy": gap.policy.value,
+        "policy": gap.run.policy.value,
         "alg_cost": fraction_str(gap.alg_cost),
         "opt_cost": fraction_str(gap.opt_cost),
         "dual_obj": fraction_str(gap.dual_obj),
@@ -228,8 +224,8 @@ def to_dot(inst: Instance) -> str:
     """Graphviz rendering: green multiplicity edges, dashed tagged links."""
     g = inst.graph
     lines = ["graph instance {"]
-    for v in range(g.n):
-        label = g.label_of(v).replace("\\", "\\\\").replace('"', '\\"')
+    for v, label in enumerate(g.labels):
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {v} [label="{label}"];')
     for u, v, m in g.edges:
         lines.append(f'  {u} -- {v} [color=green, label="{m}"];')

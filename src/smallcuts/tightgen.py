@@ -48,7 +48,10 @@ class GadgetParams:
             raise InvalidParameterError(
                 f"glued form requires k >= 2pq+1 = {2 * self.p * self.q + 1}, got k={self.k}"
             )
-        object.__setattr__(self, "epsilon", as_cost(self.epsilon))
+        try:
+            object.__setattr__(self, "epsilon", as_cost(self.epsilon))
+        except InvalidParameterError as e:
+            raise InvalidParameterError(f"bad epsilon: {e}") from None
 
     @property
     def n(self) -> int:
@@ -100,7 +103,7 @@ def a_union(params: GadgetParams, subset: tuple[int, ...]) -> Cut:
     return Cut.of([v for i in subset for v in _gadget_nodes(i)[:2]], params.n)
 
 
-def _c_set(params: GadgetParams) -> Cut:
+def c_set(params: GadgetParams) -> Cut:
     """C = {z} with every x_i and y_i."""
     z, _, _ = axis(params.p)
     return Cut.of([z] + [v for i in range(params.p) for v in _gadget_nodes(i)[2:]], params.n)
@@ -199,7 +202,7 @@ def degree_identities(labeled: LabeledInstance) -> list[tuple[str, int, int]]:
             (f"d(X{s}) = k-1", cut_degree(g, x_set), k - 1),
             (f"d(Y{s}) = k-1", cut_degree(g, y_set), k - 1),
         ]
-    rows.append(("d(C) = k-1", cut_degree(g, _c_set(params)), k - 1))
+    rows.append(("d(C) = k-1", cut_degree(g, c_set(params)), k - 1))
     if p == 1:
         _, _, x, y = _gadget_nodes(0)
         rows += [
@@ -275,34 +278,20 @@ def analytic_cores(params: GadgetParams) -> list[Cut]:
     """The p+2 initial cores {t_1},...,{t_p},{r},C without any enumeration."""
     _, _, r = axis(params.p)
     cores = [_gadget_sets(params, i)[0] for i in range(params.p)]
-    cores += [Cut.of((r,), params.n), _c_set(params)]
+    cores += [Cut.of((r,), params.n), c_set(params)]
     return sorted(cores, key=lambda s: s.mask)
 
 
-@dataclass(frozen=True)
-class FamilySlices:
-    """Analytic cut lists predicted for the generated family.
-
-    cores: the p+2 minimal violated cuts of the empty selection.
-    fr_minus_frc: the small cuts avoiding r that do not contain all of C,
-    namely the singletons {t_i}, every nonempty union of the A_i, and each
-    X_i and Y_i.
-    c: the core C = {z} with every x_i and y_i.
-    """
-
-    cores: tuple[Cut, ...]
-    fr_minus_frc: tuple[Cut, ...]
-    c: Cut
-
-
-def expected_family_slices(params: GadgetParams) -> FamilySlices:
+def expected_slice(params: GadgetParams) -> list[Cut]:
+    """The small cuts avoiding r that do not contain all of C: the
+    singletons {t_i}, every nonempty union of the A_i, and each X_i and Y_i,
+    by size and then mask."""
     p = params.p
     cuts = [a_union(params, subset) for size in range(1, p + 1) for subset in combinations(range(p), size)]
     for i in range(p):
         t_set, _, x_set, y_set = _gadget_sets(params, i)
         cuts += [t_set, x_set, y_set]
-    cuts.sort(key=lambda s: (s.size(), s.mask))
-    return FamilySlices(tuple(analytic_cores(params)), tuple(cuts), _c_set(params))
+    return sorted(cuts, key=lambda s: (s.size(), s.mask))
 
 
 def infer_params(inst: Instance) -> GadgetParams | None:

@@ -93,9 +93,6 @@ class RunResult:
     deleted: tuple[int, ...]
     final: tuple[int, ...]
 
-    def final_cost(self, inst: Instance) -> Fraction:
-        return cost_of(inst, self.final)
-
 
 def cost_of(inst: Instance, indices: Sequence[int]) -> Fraction:
     return sum((inst.links[i].cost for i in indices), Fraction(0))

@@ -22,8 +22,8 @@ from smallcuts.covering import (
 )
 from smallcuts.multigraph import Cut, MultiGraph, cut_degree
 from smallcuts.oracle import brute_force_optimum, gap_experiment, gap_sweep
-from smallcuts.tightgen import analytic_cores, expected_family_slices, generate_instance
-from smallcuts.wgmv import TiePolicy, dual_feasible, run
+from smallcuts.tightgen import analytic_cores, expected_slice, generate_instance
+from smallcuts.wgmv import TiePolicy, cost_of, dual_feasible, run
 
 
 def criterion(num, desc):
@@ -68,13 +68,12 @@ def test_criterion_02_cores_lemma():
         params = lab.params
         assert cores_bruteforce(inst, ()) == analytic_cores(params)
 
-        slices = expected_family_slices(params)
         c_mask = 1 << (4 * p)
         for i in range(p):
             c_mask |= 0b11 << (4 * i + 2)
         enumerated = violated_cuts(inst, ())
         got = {s.mask for s in enumerated if s.mask & c_mask != c_mask}
-        assert got == {s.mask for s in slices.fr_minus_frc}
+        assert got == {s.mask for s in expected_slice(params)}
         union_masks = set()
         for size in range(1, p + 1):
             for subset in itertools.combinations(range(p), size):
@@ -205,7 +204,7 @@ def test_criterion_09_property_suite():
             and is_minimal_cover(inst, sel)
             and dual_feasible(inst, res.dual)
             and res.dual.objective() <= opt
-            and res.final_cost(inst) <= 5 * res.dual.objective()
+            and cost_of(inst, res.final) <= 5 * res.dual.objective()
         )
         if not ok:
             violations += 1

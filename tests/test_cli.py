@@ -256,6 +256,27 @@ def test_epsilon_decimal_string_is_exact(tmp_path):
     assert main(["generate", "--k", "3", "--epsilon", "nonsense"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["generate", "--k", "3", "--epsilon", "-1"], "error: bad epsilon: negative cost -1 is not allowed"),
+        (["verify", "--q", "1", "--p", "1", "--k", "3", "--epsilon", "abc"], "error: bad epsilon: cannot parse cost 'abc'"),
+    ],
+    ids=["negative", "unparsable"],
+)
+def test_epsilon_errors_name_epsilon(argv, message, capsys):
+    assert main(argv) == 3
+    assert capsys.readouterr().err == message + "\n"
+
+
+@pytest.mark.parametrize("k", ["2", "0"])
+def test_experiment_rejects_k_below_3_by_name(k, capsys):
+    assert main(["experiment", "--k", "5", k]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"error: the sweep requires k >= 3, got k={k}\n"
+    assert captured.out == ""
+
+
 def test_bound_exceeded_exit_4(tmp_path, monkeypatch):
     monkeypatch.setenv("SCC_ENUM_BOUND", "5")
     assert main(["verify", "--q", "1", "--p", "2", "--k", "5"]) == 4

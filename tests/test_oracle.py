@@ -240,7 +240,8 @@ def test_cores_lemma_verifier_hits_the_node_bound_before_predicting(monkeypatch)
         raise AssertionError("predictions built before the enumeration bound was checked")
 
     monkeypatch.delenv("SCC_ENUM_BOUND", raising=False)
-    monkeypatch.setattr(oracle, "expected_family_slices", predict)
+    for name in ("analytic_cores", "c_set", "expected_slice"):
+        monkeypatch.setattr(oracle, name, predict)
     with pytest.raises(BoundExceededError, match="23 nodes"):
         verify_cores_lemma(generate_instance(1, 5, 11))
 

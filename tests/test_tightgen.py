@@ -10,7 +10,7 @@ from smallcuts.tightgen import (
     GadgetParams,
     analytic_cores,
     detect_generated,
-    expected_family_slices,
+    expected_slice,
     generate_instance,
     infer_params,
 )
@@ -124,15 +124,15 @@ def test_analytic_cores_match_bruteforce(q, p, k):
 
 
 def test_expected_family_slices_counts():
-    s1 = expected_family_slices(GadgetParams(q=1, p=1, k=3))
-    assert len(s1.fr_minus_frc) == 4
-    assert {c.mask for c in s1.fr_minus_frc} == {0b1, 0b11, 0b111, 0b1111}
-    s2 = expected_family_slices(GadgetParams(q=1, p=2, k=5))
-    assert len(s2.fr_minus_frc) == 9
-    assert any(c.mask == 0b11 | 0b11 << 4 for c in s2.fr_minus_frc)  # A_1 u A_2
-    s3 = expected_family_slices(GadgetParams(q=1, p=3, k=7))
-    assert len(s3.fr_minus_frc) == 16
-    assert len(s3.cores) == 5
+    s1 = expected_slice(GadgetParams(q=1, p=1, k=3))
+    assert len(s1) == 4
+    assert {c.mask for c in s1} == {0b1, 0b11, 0b111, 0b1111}
+    s2 = expected_slice(GadgetParams(q=1, p=2, k=5))
+    assert len(s2) == 9
+    assert any(c.mask == 0b11 | 0b11 << 4 for c in s2)  # A_1 u A_2
+    p3 = GadgetParams(q=1, p=3, k=7)
+    assert len(expected_slice(p3)) == 16
+    assert len(analytic_cores(p3)) == 5
 
 
 def test_infer_and_detect_roundtrip():

@@ -80,7 +80,7 @@ def test_policy_given_by_name_runs_that_policy():
         assert by_name == run(inst, policy=policy) and by_name.policy is policy
         assert trace_to_obj(by_name, inst)["policy"] == policy.value
     assert run(inst, policy="cost-ascending").added == (0, 1, 4, 7, 2, 3, 5, 6, 8)
-    assert gap_experiment(labeled, policy="helpful").policy is TiePolicy.HELPFUL
+    assert gap_experiment(labeled, policy="helpful").run.policy is TiePolicy.HELPFUL
     for call in (phase1, run):
         with pytest.raises(InvalidParameterError, match="unknown tie policy 'bogus'"):
             call(inst, policy="bogus")
@@ -100,10 +100,10 @@ def test_run_adversarial_vs_helpful():
     inst = gadget_instance()
     adv = run(inst, policy=TiePolicy.ADVERSARIAL)
     assert adv.final == (2, 3, 4)
-    assert adv.final_cost(inst) == 5
+    assert cost_of(inst, adv.final) == 5
     hlp = run(inst, policy=TiePolicy.HELPFUL)
     assert hlp.final == (0, 1)
-    assert hlp.final_cost(inst) == 3
+    assert cost_of(inst, hlp.final) == 3
     for res in (adv, hlp):
         sel = [inst.links[i] for i in res.final]
         assert covers(inst, sel)
@@ -179,7 +179,7 @@ def test_zero_cost_link_tight_at_delta_zero():
     assert dual.objective() == 0
     res = run(inst)
     assert res.final == (0,)
-    assert res.final_cost(inst) == 0
+    assert cost_of(inst, res.final) == 0
 
 
 def test_zero_cost_link_crossing_no_core_is_appended_at_once():
@@ -244,7 +244,7 @@ def test_random_instances_respect_weak_duality_and_bound():
         assert covers(inst, sel)
         assert is_minimal_cover(inst, sel)
         assert dual_feasible(inst, res.dual)
-        assert res.final_cost(inst) <= 5 * res.dual.objective()
+        assert cost_of(inst, res.final) <= 5 * res.dual.objective()
         # phase 2 only ever removes, in reverse order, what phase 1 added
         assert set(res.final) | set(res.deleted) == set(res.added)
         assert [i for i in res.added if i in res.final] == list(res.final)
