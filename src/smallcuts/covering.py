@@ -9,7 +9,12 @@ below k.  `covers` tests that at any size with Stoer-Wagner phases, the
 first of which below k is an uncovered core, and `violated_cuts` lists
 the contracted graph's small cuts by a Gray-code walk over all its cuts
 that keeps one crossing weight per row, not one entry per cut, and whose
-step touches only the toggled row's neighbours.
+step touches only the toggled row's neighbours.  The walk goes in blocks
+of 2^6 steps, replayed from a table of one block's steps built once per
+call, so only the first step of a block finds its row from the step
+number.  Six bits is where the table still fits the 12 KiB that the
+memory test allows a p = 3 walk, and where a block boundary is already
+only 1 step in 64.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from .multigraph import Cut, MultiGraph, _groups, _weights, min_cut_phases
 LINK_TAGS = (None, "red", "blue")
 
 DEFAULT_ENUM_BOUND = 22
+# The cut walk replays its steps in blocks of 2^_BLOCK_BITS; see `_small_masks`.
+_BLOCK_BITS = 6
 _ENUM_BOUND_VAR = "SCC_ENUM_BOUND"
 
 
@@ -160,6 +167,12 @@ def _fmt_cut(s: Cut, inst: Instance) -> str:
     return "{" + ",".join(inst.graph.labels[v] for v in s.nodes()) + "}"
 
 
+def _gray_step(i: int) -> tuple[int, bool]:
+    """Step i of the Gray-code walk: the row it toggles, and whether that row joins S."""
+    v = (i & -i).bit_length() - 1
+    return v, not i >> v & 2
+
+
 def _small_masks(w: list[list[int]], k: int) -> list[int]:
     """Masks of the row sets S of `w` avoiding its last row with d(S) below k.
 
@@ -170,25 +183,46 @@ def _small_masks(w: list[list[int]], k: int) -> list[int]:
     cross[u] = w(u, S) is kept per row, so memory is linear in the rows and
     edges.  A step touches only the toggled row's neighbours: their
     (row, multiplicity) pairs are listed once per call.
+
+    The m walked rows are all but the last.  The steps go in blocks of 2^b,
+    b = min(_BLOCK_BITS, m): within the block at `base`, step base | j for
+    j > 0 toggles the row of j, in a direction set by j and, for row b - 1
+    alone, by the parity of the block.  So the (row, joins, j) steps of a
+    block are listed once per call for each parity, sharing all but that
+    one tuple, and only a block's first step, which toggles a row at or
+    above b, is worked out from `base`.  At b = 6 that is 1 step in 64, and
+    the 64 step tuples stay within the 12 KiB that
+    `test_violated_cuts_memory_stays_linear_in_the_nodes` allows a call.
     """
+    m = len(w) - 1
+    if m < 1:
+        return []
     deg = [sum(row) for row in w]
     adj = [[(u, x) for u, x in enumerate(row) if x] for row in w]
     cross = [0] * len(w)
     d = 0
     out = []
-    for i in range(1, 1 << (len(w) - 1)):
-        v = (i & -i).bit_length() - 1
-        step = deg[v] - 2 * cross[v]
-        if i >> v & 2:  # v leaves S
-            d -= step
-            for u, x in adj[v]:
-                cross[u] -= x
-        else:
-            d += step
-            for u, x in adj[v]:
-                cross[u] += x
-        if d < k:
-            out.append(i ^ i >> 1)
+    b = min(_BLOCK_BITS, m)
+    even = tuple((*_gray_step(j), j) for j in range(1, 1 << b))
+    half = 1 << b - 1
+    table = (even, (*even[: half - 1], (*_gray_step(1 << b | half), half), *even[half:]))
+    for base in range(0, 1 << m, 1 << b):
+        steps = table[base >> b & 1]
+        if base:
+            steps = ((*_gray_step(base), 0), *steps)
+        for v, joins, j in steps:
+            step = deg[v] - 2 * cross[v]
+            if joins:
+                d += step
+                for u, x in adj[v]:
+                    cross[u] += x
+            else:
+                d -= step
+                for u, x in adj[v]:
+                    cross[u] -= x
+            if d < k:
+                i = base | j
+                out.append(i ^ i >> 1)
     return out
 
 

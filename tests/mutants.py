@@ -186,10 +186,24 @@ MUTANTS = (
         (WALK,),
     ),
     Mutant(
-        "the cut walk stops one set short",
+        "each block of the cut walk stops one set short",
         "covering.py",
-        "for i in range(1, 1 << (len(w) - 1)):",
-        "for i in range(1, (1 << (len(w) - 1)) - 1):",
+        "for j in range(1, 1 << b))",
+        "for j in range(1, (1 << b) - 1))",
+        (WALK,),
+    ),
+    Mutant(
+        "odd blocks of the cut walk read the even block's table",
+        "covering.py",
+        "steps = table[base >> b & 1]",
+        "steps = table[0]",
+        (WALK,),
+    ),
+    Mutant(
+        "a block of the cut walk skips its boundary step",
+        "covering.py",
+        "steps = ((*_gray_step(base), 0), *steps)",
+        "steps = steps",
         (WALK,),
     ),
     Mutant(

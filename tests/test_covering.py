@@ -199,6 +199,70 @@ def test_small_masks_returns_exactly_the_masks_below_each_k_on_random_graphs():
         _assert_walk_returns_masks_below_every_k(_weights(g, range(n), n), degree)
 
 
+def _small_cuts_by_branching(inst, selected):
+    """Reference for `violated_cuts` at sizes the definition cannot reach.
+    Nodes are decided one at a time, in BFS order from the root over edges
+    and selected links, into S or out of it; a selected link ties its ends
+    to one side.  The weight between the nodes decided in and those decided
+    out never decreases and is d(S) once every node is decided, so a branch
+    stops when it reaches k."""
+    n, k, root = inst.n, inst.k, inst.default_root()
+    w = [[0] * n for _ in range(n)]
+    for u, v, m in inst.graph.edges:
+        w[u][v] = w[v][u] = m
+    tied = [[ln.v if ln.u == v else ln.u for ln in selected if v in (ln.u, ln.v)] for v in range(n)]
+    order = [root]
+    for v in order:
+        order += [u for u in range(n) if (w[v][u] or u in tied[v]) and u not in order]
+    order += [v for v in range(n) if v not in order]
+    side = [None] * n
+    side[root] = False
+    found = []
+
+    def branch(i, weight):
+        if weight >= k:
+            return
+        if i == n:
+            mask = sum(1 << v for v in range(n) if side[v])
+            if mask:
+                found.append(mask)
+            return
+        v = order[i]
+        for joins in (True, False):
+            if all(side[u] in (None, joins) for u in tied[v]):
+                side[v] = joins
+                branch(i + 1, weight + sum(w[v][u] for u in range(n) if side[u] is (not joins)))
+                side[v] = None
+
+    branch(1, 0)
+    return sorted(found, key=lambda mask: (mask.bit_count(), mask))
+
+
+def test_violated_cuts_match_branching_reference_at_realistic_sizes(monkeypatch):
+    """The walk's random-graph test stops at 12 nodes, 32 blocks of steps;
+    the p = 4 family walks 4096 and p = 5 walks 65,536.  Then seeded rings
+    with chords at n = 14..18, k = 5, some with links selected."""
+    monkeypatch.setenv("SCC_ENUM_BOUND", "23")
+    for p in range(1, 6):
+        inst = generate_instance(1, p, 2 * p + 1).instance
+        got = [s.mask for s in violated_cuts(inst, ())]
+        assert got == _small_cuts_by_branching(inst, ())
+    rng = random.Random(20261020)
+    nonempty = selected = 0
+    for _ in range(30):
+        n = rng.randint(14, 18)
+        edges = [(v, (v + 1) % n, rng.randint(1, 2)) for v in range(n)]
+        edges += [(*rng.sample(range(n), 2), 1) for _ in range(rng.randint(0, n // 2))]
+        links = tuple(Link(*rng.sample(range(n), 2), 1) for _ in range(3))
+        inst = Instance(graph=MultiGraph(n, edges), k=5, links=links)
+        chosen = links[: rng.choice([0, 0, 1, 3])]
+        got = [s.mask for s in violated_cuts(inst, chosen)]
+        assert got == _small_cuts_by_branching(inst, chosen)
+        nonempty += bool(got)
+        selected += bool(chosen) and bool(got)
+    assert nonempty >= 20 and selected >= 10
+
+
 def test_violated_cuts_memory_stays_linear_in_the_nodes():
     """The p = 3 family has 15 nodes, so one entry per cut avoiding the root
     is 2^14 list slots, 128 KiB; the walk keeps a few rows and the 31 cuts."""
