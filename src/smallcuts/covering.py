@@ -8,13 +8,11 @@ every small cut is covered; equivalently, the contracted graph has no cut
 below k.  `covers` tests that at any size with Stoer-Wagner phases, the
 first of which below k is an uncovered core, and `violated_cuts` lists
 the contracted graph's small cuts by a Gray-code walk over all its cuts
-that keeps one crossing weight per row, not one entry per cut, and whose
-step touches only the toggled row's neighbours.  The walk goes in blocks
-of 2^6 steps, replayed from a table of one block's steps built once per
-call, so only the first step of a block finds its row from the step
-number.  Six bits is where the table still fits the 12 KiB that the
-memory test allows a p = 3 walk, and where a block boundary is already
-only 1 step in 64.
+that keeps one crossing weight and one in-or-out flag per row, not one
+entry per cut, and whose step touches only the toggled row's neighbours.
+Blocks of 2^6 steps toggle the same rows in the same order after their
+first step, so one table built once per call serves every block; six
+bits already leave a block boundary at only 1 step in 64.
 """
 
 from __future__ import annotations
@@ -167,31 +165,24 @@ def _fmt_cut(s: Cut, inst: Instance) -> str:
     return "{" + ",".join(inst.graph.labels[v] for v in s.nodes()) + "}"
 
 
-def _gray_step(i: int) -> tuple[int, bool]:
-    """Step i of the Gray-code walk: the row it toggles, and whether that row joins S."""
-    v = (i & -i).bit_length() - 1
-    return v, not i >> v & 2
-
-
 def _small_masks(w: list[list[int]], k: int) -> list[int]:
     """Masks of the row sets S of `w` avoiding its last row with d(S) below k.
 
     `w` is as `_weights` builds it, so a row's degree is its sum.  Every S is
     walked in Gray-code order (Knuth, TAOCP 4A, 7.2.1.1): step i toggles the
-    row v at the lowest set bit of i, to S = i ^ (i >> 1), so v leaves S when
-    bit v + 1 of i is set.  d(S) moves by ±(deg(v) - 2w(v, S - v)), and
-    cross[u] = w(u, S) is kept per row, so memory is linear in the rows and
-    edges.  A step touches only the toggled row's neighbours: their
-    (row, multiplicity) pairs are listed once per call.
+    row v at the lowest set bit of i, to S = i ^ (i >> 1).  A flag per row
+    says whether it is in S, so it decides whether v joins or leaves.  d(S)
+    moves by ±(deg(v) - 2w(v, S - v)), and cross[u] = w(u, S) is kept per
+    row, so memory is linear in the rows and edges.  A step touches only the
+    toggled row's neighbours: their (row, multiplicity) pairs are listed
+    once per call.
 
     The m walked rows are all but the last.  The steps go in blocks of 2^b,
     b = min(_BLOCK_BITS, m): within the block at `base`, step base | j for
-    j > 0 toggles the row of j, in a direction set by j and, for row b - 1
-    alone, by the parity of the block.  So the (row, joins, j) steps of a
-    block are listed once per call for each parity, sharing all but that
-    one tuple, and only a block's first step, which toggles a row at or
-    above b, is worked out from `base`.  At b = 6 that is 1 step in 64, and
-    the 64 step tuples stay within the 12 KiB that
+    j > 0 toggles the same row as step j, so one table of (row, j) steps
+    serves every block, and only a block's first step, which toggles a row
+    at or above b, is worked out from `base`.  At b = 6 that is 1 step in
+    64, so a larger table would only spend more of the 12 KiB that
     `test_violated_cuts_memory_stays_linear_in_the_nodes` allows a call.
     """
     m = len(w) - 1
@@ -200,23 +191,24 @@ def _small_masks(w: list[list[int]], k: int) -> list[int]:
     deg = [sum(row) for row in w]
     adj = [[(u, x) for u, x in enumerate(row) if x] for row in w]
     cross = [0] * len(w)
+    inside = [False] * m
     d = 0
     out = []
     b = min(_BLOCK_BITS, m)
-    even = tuple((*_gray_step(j), j) for j in range(1, 1 << b))
-    half = 1 << b - 1
-    table = (even, (*even[: half - 1], (*_gray_step(1 << b | half), half), *even[half:]))
+    table = tuple(((j & -j).bit_length() - 1, j) for j in range(1, 1 << b))
     for base in range(0, 1 << m, 1 << b):
-        steps = table[base >> b & 1]
+        steps = table
         if base:
-            steps = ((*_gray_step(base), 0), *steps)
-        for v, joins, j in steps:
+            steps = (((base & -base).bit_length() - 1, 0), *table)
+        for v, j in steps:
             step = deg[v] - 2 * cross[v]
-            if joins:
+            if not inside[v]:
+                inside[v] = True
                 d += step
                 for u, x in adj[v]:
                     cross[u] += x
             else:
+                inside[v] = False
                 d -= step
                 for u, x in adj[v]:
                     cross[u] -= x

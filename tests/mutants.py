@@ -193,17 +193,17 @@ MUTANTS = (
         (WALK,),
     ),
     Mutant(
-        "odd blocks of the cut walk read the even block's table",
+        "the cut walk never marks a leaving row as out",
         "covering.py",
-        "steps = table[base >> b & 1]",
-        "steps = table[0]",
+        "inside[v] = False",
+        "inside[v] = True",
         (WALK,),
     ),
     Mutant(
         "a block of the cut walk skips its boundary step",
         "covering.py",
-        "steps = ((*_gray_step(base), 0), *steps)",
-        "steps = steps",
+        "steps = (((base & -base).bit_length() - 1, 0), *table)",
+        "steps = table",
         (WALK,),
     ),
     Mutant(

@@ -265,8 +265,12 @@ def test_violated_cuts_match_branching_reference_at_realistic_sizes(monkeypatch)
 
 def test_violated_cuts_memory_stays_linear_in_the_nodes():
     """The p = 3 family has 15 nodes, so one entry per cut avoiding the root
-    is 2^14 list slots, 128 KiB; the walk keeps a few rows and the 31 cuts."""
+    is 2^14 list slots, 128 KiB; the walk keeps a few rows and the 31 cuts.
+    One call before tracing fills the interpreter's per-code caches, which
+    would otherwise be allocated inside the traced call (3.10 adds several
+    KiB there), so the peak does not depend on which tests ran first."""
     inst = generate_instance(1, 3, 7).instance
+    violated_cuts(inst, ())
     tracemalloc.start()
     try:
         cuts = violated_cuts(inst, ())
