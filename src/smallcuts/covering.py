@@ -77,7 +77,8 @@ def as_cost(value: object) -> Fraction:
     elif isinstance(value, int):
         cost = Fraction(value)
     elif isinstance(value, str):
-        if "e" in value.lower():  # Fraction would expand "1e10000000" in full
+        # Fraction would expand "1e10000000" in full; it reads an e only after a digit or "."
+        if "e" in value.lower() and any(c in "eE" and (a == "." or a.isdecimal()) for a, c in zip(value, value[1:])):
             raise InvalidParameterError(f"cost {value!r} uses exponent notation; write a fraction or decimal")
         try:
             cost = Fraction(value)
@@ -133,11 +134,15 @@ class Instance:
     below_k: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.graph, MultiGraph):
+            raise InvalidParameterError(f"graph must be a MultiGraph, got {type(self.graph).__name__}")
         require_int(self.k, "threshold k")
         if self.k < 1:
             raise InvalidParameterError(f"threshold k must be at least 1, got k={self.k}")
         links = tuple(self.links)
         for ln in links:
+            if not isinstance(ln, Link):
+                raise InvalidParameterError(f"links must hold Link objects, got {type(ln).__name__}")
             if ln.u >= self.graph.n or ln.v >= self.graph.n:
                 raise _out_of_range(ln, self.graph.n)
         object.__setattr__(self, "links", links)
@@ -298,12 +303,6 @@ def is_minimal_cover(inst: Instance, selected: Sequence[Link]) -> bool:
     """True when `selected` covers and no single link can be dropped."""
     sel = list(selected)
     return covers(inst, sel) and _droppable_link(inst, sel) is None
-
-
-def cores_bruteforce(inst: Instance, selected: Sequence[Link] = ()) -> list[Cut]:
-    """Inclusion-minimal violated cuts by exhaustive enumeration: the
-    reference for the cores phase 1 takes from its filtered list."""
-    return minimal_cuts(inst, violated_cuts(inst, selected))
 
 
 def minimal_cuts(inst: Instance, reps: Iterable[Cut]) -> list[Cut]:

@@ -265,16 +265,13 @@ def verify_feasibility_lemma(labeled: LabeledInstance) -> VerifierReport:
     checks.append(
         Check(
             "red and blue partition the link set",
-            all_indices == list(range(len(inst.links)))
-            and not set(labeled.red_links) & set(labeled.blue_links),
+            all_indices == list(range(len(inst.links))),
             f"red {labeled.red_links}, blue {labeled.blue_links}",
         )
     )
     minimality = []
-    for color, indices, links in (
-        ("red", labeled.red_links, labeled.red()),
-        ("blue", labeled.blue_links, labeled.blue()),
-    ):
+    for color, indices in (("red", labeled.red_links), ("blue", labeled.blue_links)):
+        links = [inst.links[i] for i in indices]
         core = _uncovered_core(inst, links)
         detail = "" if core is None else f"leaves {_fmt_cut(Cut(core, inst.n), inst)} uncovered"
         checks.append(Check(f"{color} is feasible", core is None, detail))
@@ -327,7 +324,7 @@ def gap_experiment(
         analytic = False
     except BoundExceededError as e:
         opt_cost = cost_of(inst, labeled.blue_links)
-        if opt_cost != dual_obj or not covers(inst, labeled.blue()):
+        if opt_cost != dual_obj or not covers(inst, [inst.links[i] for i in labeled.blue_links]):
             raise BoundExceededError(
                 f"{e}, and the dual objective does not certify the blue links as an optimal cover"
             ) from None

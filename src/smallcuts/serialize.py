@@ -230,7 +230,7 @@ def to_dot(inst: Instance) -> str:
     for u, v, m in g.edges:
         lines.append(f'  {u} -- {v} [color=green, label="{m}"];')
     for ln in inst.links:
-        color = ln.tag if ln.tag in ("red", "blue") else "gray"
+        color = ln.tag or "gray"
         lines.append(f'  {ln.u} -- {ln.v} [color={color}, style=dashed, label="{fraction_text(ln.cost)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

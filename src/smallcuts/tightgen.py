@@ -1,11 +1,14 @@
 """Generator for the adversarial instance family and its analytic cores.
 
 The family glues p copies of a 7-node gadget along a shared 3-node axis
-(z, b, r), giving 4p+3 nodes; p=1 is the plain gadget.  Red links form the
+(z, b, r), giving 4p+3 nodes; p=1 is the plain gadget, the glued form with
+one copy, and every p takes the one bound k >= 2pq+1.  Red links form the
 expensive minimal cover (total 5p), blue links the cheap one (total p+2),
 and an optional epsilon surcharge on blue keeps blue strictly slack in
-phase 1.  Every build is validated against an exact degree battery; a
-mismatch is a construction bug, never a warning.
+phase 1.  A link's color is its tag, read through `red_links` and
+`blue_links`.  Every build is validated against an exact degree battery; a
+mismatch is a construction bug, never a warning, so it raises
+ConstructionError out of `detect_generated` too.
 
 Node ids: gadget i (0-based) occupies 4i..4i+3 as t, a, x, y; then z=4p,
 b=4p+1, r=4p+2.  So r is the last node, the one cut enumeration leaves out.
@@ -39,12 +42,7 @@ class GadgetParams:
             raise InvalidParameterError(f"requires q >= 1, got q={self.q}")
         if self.p < 1:
             raise InvalidParameterError(f"requires p >= 1, got p={self.p}")
-        if self.p == 1:
-            if self.k < 2 * self.q + 1:
-                raise InvalidParameterError(
-                    f"single gadget requires k >= 2q+1 = {2 * self.q + 1}, got k={self.k}"
-                )
-        elif self.k < 2 * self.p * self.q + 1:
+        if self.k < 2 * self.p * self.q + 1:
             raise InvalidParameterError(
                 f"glued form requires k >= 2pq+1 = {2 * self.p * self.q + 1}, got k={self.k}"
             )
@@ -72,12 +70,6 @@ class LabeledInstance:
     @property
     def blue_links(self) -> tuple[int, ...]:
         return tuple([i for i, ln in enumerate(self.instance.links) if ln.tag == "blue"])
-
-    def red(self) -> list[Link]:
-        return [self.instance.links[i] for i in self.red_links]
-
-    def blue(self) -> list[Link]:
-        return [self.instance.links[i] for i in self.blue_links]
 
 
 def axis(p: int) -> tuple[int, int, int]:
@@ -257,8 +249,9 @@ def _validate_construction(labeled: LabeledInstance) -> None:
         if gu is not None and gv is not None and gu != gv:
             raise ConstructionError(f"edge ({u},{v}) runs between gadgets {gu + 1} and {gv + 1}")
 
-    red_total = sum(ln.cost for ln in labeled.red())
-    blue_total = sum(ln.cost for ln in labeled.blue())
+    links = labeled.instance.links
+    red_total = sum(links[i].cost for i in labeled.red_links)
+    blue_total = sum(links[i].cost for i in labeled.blue_links)
     if red_total != 5 * p:
         raise ConstructionError(f"red cost total {red_total}, expected {5 * p}")
     if blue_total != p + 2 + (p + 1) * params.epsilon:
@@ -329,11 +322,7 @@ def detect_generated(inst: Instance) -> LabeledInstance | None:
     params = infer_params(inst)
     if params is None:
         return None
-    try:
-        rebuilt = _build(params)
-    except (InvalidParameterError, ConstructionError):
-        return None
-    own = rebuilt.instance
+    own = _build(params).instance
     if inst.k == own.k and inst.graph.edges == own.graph.edges and inst.links == own.links:
         return LabeledInstance(inst, params)
     return None

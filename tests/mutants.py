@@ -60,6 +60,13 @@ WALK = "tests/test_covering.py::test_small_masks_returns_exactly_the_masks_below
 
 MUTANTS = (
     Mutant(
+        "the family's k bound accepts k = 2pq",
+        "tightgen.py",
+        "if self.k < 2 * self.p * self.q + 1:",
+        "if self.k < 2 * self.p * self.q:",
+        ("tests/test_tightgen.py::test_k_bound_is_2pq_plus_1_at_every_p",),
+    ),
+    Mutant(
         "phase kernel ties to the largest row",
         "multigraph.py",
         "prev, last = last, weight.index(value)",

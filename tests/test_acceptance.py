@@ -14,7 +14,6 @@ import pytest
 from smallcuts.covering import (
     Instance,
     Link,
-    cores_bruteforce,
     covers,
     covers_by_enumeration,
     is_minimal_cover,
@@ -24,6 +23,8 @@ from smallcuts.multigraph import Cut, MultiGraph, cut_degree
 from smallcuts.oracle import brute_force_optimum, gap_experiment, gap_sweep
 from smallcuts.tightgen import analytic_cores, expected_slice, generate_instance
 from smallcuts.wgmv import TiePolicy, cost_of, dual_feasible, run
+
+from cores_reference import cores_bruteforce
 
 
 def criterion(num, desc):
@@ -95,7 +96,8 @@ def test_criterion_03_feasibility_lemma():
         lab = generate_instance(q, p, k)
         inst = lab.instance
         n = inst.n
-        red, blue = lab.red(), lab.blue()
+        red = [inst.links[i] for i in lab.red_links]
+        blue = [inst.links[i] for i in lab.blue_links]
         assert covers(inst, red) and is_minimal_cover(inst, red)
         assert covers(inst, blue) and is_minimal_cover(inst, blue)
         r = 4 * p + 2

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -261,8 +262,9 @@ def test_epsilon_decimal_string_is_exact(tmp_path):
     [
         (["generate", "--k", "3", "--epsilon", "-1"], "error: bad epsilon: negative cost -1 is not allowed"),
         (["verify", "--q", "1", "--p", "1", "--k", "3", "--epsilon", "abc"], "error: bad epsilon: cannot parse cost 'abc'"),
+        (["generate", "--k", "3", "--epsilon", "nonsense"], "error: bad epsilon: cannot parse cost 'nonsense'"),
     ],
-    ids=["negative", "unparsable"],
+    ids=["negative", "unparsable", "nonsense"],
 )
 def test_epsilon_errors_name_epsilon(argv, message, capsys):
     assert main(argv) == 3
@@ -280,6 +282,27 @@ def test_experiment_rejects_k_below_3_by_name(k, capsys):
 def test_bound_exceeded_exit_4(tmp_path, monkeypatch):
     monkeypatch.setenv("SCC_ENUM_BOUND", "5")
     assert main(["verify", "--q", "1", "--p", "2", "--k", "5"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (["experiment", "--k", "5"], 0, ""),
+        (["generate", "--k", "2"], 3, "error: "),
+        (["verify", "--q", "1", "--p", "5", "--k", "11"], 4, "bound exceeded: "),
+    ],
+    ids=["success", "invalid", "bound"],
+)
+def test_module_entry_point_exits_with_mains_code(argv, code, err):
+    """`python -m smallcuts` runs `cli.entry`, which hands main's code to
+    sys.exit; p = 5 has 23 nodes, one past the default enumeration bound."""
+    env = {name: value for name, value in os.environ.items() if name != "SCC_ENUM_BOUND"}
+    env["PYTHONPATH"] = str(Path(tightgen.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "smallcuts", *argv], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(err) and bool(proc.stderr) == bool(err)
 
 
 @pytest.mark.parametrize("q,p,k", [(1, 1, 3), (1, 2, 5)])

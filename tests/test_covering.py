@@ -11,7 +11,6 @@ from smallcuts.covering import (
     _uncovered_core,
     Link,
     as_cost,
-    cores_bruteforce,
     covers,
     covers_by_enumeration,
     enumeration_bound,
@@ -23,6 +22,7 @@ from smallcuts.errors import BoundExceededError, InvalidParameterError
 from smallcuts.multigraph import Cut, MultiGraph, _groups, _weights, cut_degree
 from smallcuts.tightgen import generate_instance
 
+from cores_reference import cores_bruteforce
 from min_cut_reference import global_min_cut
 
 GADGET_EDGES = [(0, 1, 2), (1, 2, 1), (2, 3, 2), (3, 4, 2), (4, 5, 1), (5, 6, 2)]
@@ -60,6 +60,20 @@ def test_as_cost_rejects(bad):
 def test_as_cost_rejects_exponent_notation(bad):
     with pytest.raises(InvalidParameterError, match="exponent notation"):
         as_cost(bad)
+
+
+@pytest.mark.parametrize(
+    "graph,links,field",
+    [
+        (MultiGraph(3, []), ((0, 1, 2),), "links"),
+        (MultiGraph(3, []), ("x",), "links"),
+        ("g", (), "graph"),
+    ],
+    ids=["tuple-link", "str-link", "str-graph"],
+)
+def test_instance_rejects_wrong_field_types_by_name(graph, links, field):
+    with pytest.raises(InvalidParameterError, match=f"^{field} must"):
+        Instance(graph=graph, k=2, links=links)
 
 
 def test_link_validation():

@@ -290,7 +290,7 @@ def test_red_without_yr_leaves_y_cut_uncovered():
 
     lab = generate_instance(1, 2, 5)
     inst = lab.instance
-    red = lab.red()
+    red = [inst.links[i] for i in lab.red_links]
     short = [ln for ln in red if (ln.u, ln.v) != (3, 10)]  # drop y_1 r
     assert len(short) == len(red) - 1
     assert not covers(inst, short)

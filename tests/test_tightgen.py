@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from smallcuts.covering import cores_bruteforce
 from smallcuts.errors import ConstructionError, InvalidParameterError
 from smallcuts.multigraph import MultiGraph
 from smallcuts.tightgen import (
@@ -15,13 +14,15 @@ from smallcuts.tightgen import (
     infer_params,
 )
 
+from cores_reference import cores_bruteforce
+
 
 def test_params_validation_names_the_inequality():
     with pytest.raises(InvalidParameterError, match="q >= 1"):
         GadgetParams(q=0, p=1, k=3)
     with pytest.raises(InvalidParameterError, match="p >= 1"):
         GadgetParams(q=1, p=0, k=3)
-    with pytest.raises(InvalidParameterError, match="k >= 2q\\+1 = 3"):
+    with pytest.raises(InvalidParameterError, match="k >= 2pq\\+1 = 3"):
         GadgetParams(q=1, p=1, k=2)
     with pytest.raises(InvalidParameterError, match="k >= 2pq\\+1 = 5"):
         GadgetParams(q=1, p=2, k=4)
@@ -31,6 +32,14 @@ def test_params_validation_names_the_inequality():
         GadgetParams(q=1, p=1, k=3, epsilon=0.01)  # float epsilon rejected
     with pytest.raises(InvalidParameterError):
         GadgetParams(q=1, p=1, k=3, epsilon=Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("q,p", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_k_bound_is_2pq_plus_1_at_every_p(q, p):
+    bound = 2 * p * q + 1
+    with pytest.raises(InvalidParameterError, match=f"k >= 2pq\\+1 = {bound}, got k={bound - 1}"):
+        GadgetParams(q=q, p=p, k=bound - 1)
+    assert GadgetParams(q=q, p=p, k=bound).k == bound
 
 
 def test_single_gadget_q1_k3_exact_shape():
@@ -56,8 +65,8 @@ def test_single_gadget_q1_k3_exact_shape():
         (1, 3, 1, "red"),
         (3, 6, 2, "red"),
     ]
-    assert sum(ln.cost for ln in lab.red()) == 5
-    assert sum(ln.cost for ln in lab.blue()) == 3
+    assert sum(inst.links[i].cost for i in lab.red_links) == 5
+    assert sum(inst.links[i].cost for i in lab.blue_links) == 3
 
 
 def test_single_gadget_q2_k5():
@@ -79,8 +88,8 @@ def test_glued_1_2_5_shape():
     assert len(inst.links) == 9
     assert lab.blue_links == (0, 1, 2)
     assert lab.red_links == (3, 4, 5, 6, 7, 8)
-    assert sum(ln.cost for ln in lab.red()) == 10
-    assert sum(ln.cost for ln in lab.blue()) == 4
+    assert sum(inst.links[i].cost for i in lab.red_links) == 10
+    assert sum(inst.links[i].cost for i in lab.blue_links) == 4
     # shared axis multiplicities use the glued formulas
     assert inst.graph.multiplicity(8, 9) == 5 - 2 - 1  # zb = k-pq-1
     assert inst.graph.multiplicity(9, 10) == 5 - 2  # br = k-pq
@@ -99,9 +108,9 @@ def test_glued_degree_spot_checks():
 
 def test_epsilon_variant_costs():
     lab = generate_instance(1, 2, 5, Fraction(1, 100))
-    blue = lab.blue()
+    blue = [lab.instance.links[i] for i in lab.blue_links]
     assert [ln.cost for ln in blue] == [Fraction(101, 100), Fraction(101, 100), Fraction(201, 100)]
-    assert all(ln.cost in (1, 2) for ln in lab.red())
+    assert all(lab.instance.links[i].cost in (1, 2) for i in lab.red_links)
     assert sum(ln.cost for ln in blue) == 4 + Fraction(3, 100)
 
 
