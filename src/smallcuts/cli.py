@@ -42,6 +42,7 @@ from .tightgen import (
     detect_generated,
     generate_instance,
     infer_params,
+    predicted_ratio,
 )
 from .wgmv import TiePolicy, cost_of, run
 
@@ -159,15 +160,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if any(getattr(args, name) is not None for name in ("q", "p", "k", "epsilon")):
             raise InvalidParameterError("pass an instance path or --q/--p/--k/--epsilon, not both")
         inst = read_instance(args.instance)
-        params = infer_params(inst)
-        if params is None:
-            raise InvalidParameterError(
-                "instance does not match the generated family shape; pass --q/--p/--k instead"
-            )
-        if any(ln.tag is None for ln in inst.links):
-            raise InvalidParameterError("instance has untagged links; cannot split red from blue")
-        labeled = LabeledInstance(inst, params)
-        exact = detect_generated(inst) is not None  # only an exact build gets the gap run
+        labeled = detect_generated(inst)
+        exact = labeled is not None  # only an exact build gets the gap run
+        if labeled is None:
+            params = infer_params(inst)
+            if params is None:
+                raise InvalidParameterError(
+                    "instance does not match the generated family shape; pass --q/--p/--k instead"
+                )
+            if any(ln.tag is None for ln in inst.links):
+                raise InvalidParameterError("instance has untagged links; cannot split red from blue")
+            labeled = LabeledInstance(inst, params)
     else:
         if args.q is None or args.p is None or args.k is None:
             raise InvalidParameterError("pass an instance path or all of --q, --p, --k")
@@ -187,7 +190,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(
             f"gap: alg {fraction_text(gap.alg_cost)}, opt {fraction_text(gap.opt_cost)}"
             f"{' (analytic)' if gap.opt_is_analytic else ''}, "
-            f"dual {fraction_text(gap.dual_obj)}, ratio {fraction_text(gap.ratio)}"
+            f"dual {fraction_text(gap.run.dual.objective())}, ratio {fraction_text(gap.ratio)}"
         )
     obj = {
         "reports": [report_to_obj(r) for r in reports],
@@ -204,17 +207,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    rows = gap_sweep(args.k)
+    gaps = gap_sweep(args.k)
+    rows = sweep_to_obj(gaps)
     print(f"{'k':>4} {'p':>4} {'ratio':>10} {'formula':>10} {'match':>6} {'opt':>9}")
-    for row in rows:
+    for gap, row in zip(gaps, rows):
         print(
-            f"{row.k:>4} {row.p:>4} {fraction_text(row.ratio):>10} "
-            f"{fraction_text(row.formula_value):>10} {str(row.matches).lower():>6} "
-            f"{'analytic' if row.opt_is_analytic else 'exact':>9}"
+            f"{gap.params.k:>4} {gap.params.p:>4} {fraction_text(gap.ratio):>10} "
+            f"{fraction_text(predicted_ratio(gap.params)):>10} {str(row['matches']).lower():>6} "
+            f"{'analytic' if gap.opt_is_analytic else 'exact':>9}"
         )
     if args.out:
-        _emit(canonical_text(sweep_to_obj(rows)), args.out)
-    return 0 if all(row.matches for row in rows) else 1
+        _emit(canonical_text(rows), args.out)
+    return 0 if all(row["matches"] for row in rows) else 1
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:

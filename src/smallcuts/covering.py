@@ -139,7 +139,10 @@ class Instance:
         require_int(self.k, "threshold k")
         if self.k < 1:
             raise InvalidParameterError(f"threshold k must be at least 1, got k={self.k}")
-        links = tuple(self.links)
+        try:
+            links = tuple(self.links)
+        except TypeError as e:
+            raise InvalidParameterError(f"links must be an iterable of Link objects: {e}") from None
         for ln in links:
             if not isinstance(ln, Link):
                 raise InvalidParameterError(f"links must hold Link objects, got {type(ln).__name__}")

@@ -84,22 +84,27 @@ class MultiGraph:
         if n < 1:
             raise InvalidParameterError(f"graph needs at least 1 node, got n={n}")
         folded: dict[tuple[int, int], int] = {}
-        for u, v, mult in edges:
-            # checked inline, not with require_int, so one message names the whole record
-            if type(u) is not int or type(v) is not int or type(mult) is not int:
-                raise InvalidParameterError(
-                    f"node ids and multiplicities must be integers, got edge ({u!r},{v!r},{mult!r})"
-                )
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidParameterError(f"edge ({u},{v}) out of range [0, {n})")
-            if u == v:
-                raise InvalidParameterError(f"self-loop at node {u} is not allowed")
-            if mult < 0:
-                raise InvalidParameterError(f"negative multiplicity {mult} on edge ({u},{v})")
-            if mult == 0:
-                continue
-            key = (u, v) if u < v else (v, u)
-            folded[key] = folded.get(key, 0) + mult
+        # One try around the loop, so a record pays nothing for it; the body
+        # raises neither TypeError nor ValueError once the ints are checked.
+        try:
+            for u, v, mult in edges:
+                # checked inline, not with require_int, so one message names the whole record
+                if type(u) is not int or type(v) is not int or type(mult) is not int:
+                    raise InvalidParameterError(
+                        f"node ids and multiplicities must be integers, got edge ({u!r},{v!r},{mult!r})"
+                    )
+                if not (0 <= u < n and 0 <= v < n):
+                    raise InvalidParameterError(f"edge ({u},{v}) out of range [0, {n})")
+                if u == v:
+                    raise InvalidParameterError(f"self-loop at node {u} is not allowed")
+                if mult < 0:
+                    raise InvalidParameterError(f"negative multiplicity {mult} on edge ({u},{v})")
+                if mult == 0:
+                    continue
+                key = (u, v) if u < v else (v, u)
+                folded[key] = folded.get(key, 0) + mult
+        except (TypeError, ValueError) as e:
+            raise InvalidParameterError(f"edges must be an iterable of (u, v, multiplicity) records: {e}") from None
         self.n = n
         # tuples of known length from lists: one grown from a generator is
         # resized, and each one freed parks a block on its length's free list

@@ -69,20 +69,12 @@ class GapResult:
     params: GadgetParams
     alg_cost: Fraction
     opt_cost: Fraction
-    dual_obj: Fraction
-    ratio: Fraction
     opt_is_analytic: bool
     run: RunResult
 
-
-@dataclass(frozen=True)
-class SweepRow:
-    k: int
-    p: int
-    ratio: Fraction
-    formula_value: Fraction
-    matches: bool
-    opt_is_analytic: bool
+    @property
+    def ratio(self) -> Fraction:
+        return self.alg_cost / self.opt_cost
 
 
 def brute_force_optimum(inst: Instance) -> tuple[Fraction, tuple[int, ...]]:
@@ -333,38 +325,19 @@ def gap_experiment(
         raise VerificationError(f"dual objective {dual_obj} exceeds the optimum {opt_cost}")
     if alg_cost > 5 * dual_obj:
         raise VerificationError(f"cost {alg_cost} exceeds 5 times the dual bound {dual_obj}")
-    return GapResult(
-        params=params,
-        alg_cost=alg_cost,
-        opt_cost=opt_cost,
-        dual_obj=dual_obj,
-        ratio=alg_cost / opt_cost,
-        opt_is_analytic=analytic,
-        run=result,
-    )
+    return GapResult(params=params, alg_cost=alg_cost, opt_cost=opt_cost, opt_is_analytic=analytic, run=result)
 
 
-def gap_sweep(k_list: Sequence[int]) -> list[SweepRow]:
-    """Worst-case ratio per threshold: q=1 and the largest admissible p.
+def gap_sweep(k_list: Sequence[int]) -> list[GapResult]:
+    """The adversarial gap run per threshold, at q=1 and the largest
+    admissible p, in the order given.
 
-    p = floor((k-1)/2), so odd k lands on 5(k-1)/(k+3) and even k on
-    5(k-2)/(k+2); both are just 5p/(p+2) after substituting p.
+    p = floor((k-1)/2), so `tightgen.predicted_ratio` of each result's
+    params is 5(k-1)/(k+3) at odd k and 5(k-2)/(k+2) at even k.
     """
-    rows = []
+    gaps = []
     for k in k_list:
         if k < 3:
             raise InvalidParameterError(f"the sweep requires k >= 3, got k={k}")
-        p = (k - 1) // 2
-        res = gap_experiment(generate_instance(1, p, k), policy=TiePolicy.ADVERSARIAL)
-        formula = Fraction(5 * p, p + 2)
-        rows.append(
-            SweepRow(
-                k=k,
-                p=p,
-                ratio=res.ratio,
-                formula_value=formula,
-                matches=res.ratio == formula,
-                opt_is_analytic=res.opt_is_analytic,
-            )
-        )
-    return rows
+        gaps.append(gap_experiment(generate_instance(1, (k - 1) // 2, k), policy=TiePolicy.ADVERSARIAL))
+    return gaps

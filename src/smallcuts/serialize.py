@@ -16,7 +16,8 @@ from typing import Any
 from .covering import Instance, Link
 from .errors import InvalidParameterError, require_int
 from .multigraph import MultiGraph
-from .oracle import GapResult, SweepRow, VerifierReport
+from .oracle import GapResult, VerifierReport
+from .tightgen import predicted_ratio
 from .wgmv import RunResult, cost_of
 
 
@@ -165,12 +166,12 @@ def trace_to_obj(result: RunResult, inst: Instance) -> dict:
         "added": list(result.added),
         "iterations": [
             {
-                "index": rec.index,
+                "index": index,
                 "active_cores": [list(s.nodes()) for s in rec.active_cores],
                 "delta": fraction_str(rec.delta),
                 "newly_tight": list(rec.newly_tight),
             }
-            for rec in result.iterations
+            for index, rec in enumerate(result.iterations, 1)
         ],
         "duals": duals,
         "dual_objective": fraction_str(result.dual.objective()),
@@ -199,25 +200,31 @@ def gap_to_obj(gap: GapResult) -> dict:
         "policy": gap.run.policy.value,
         "alg_cost": fraction_str(gap.alg_cost),
         "opt_cost": fraction_str(gap.opt_cost),
-        "dual_obj": fraction_str(gap.dual_obj),
+        "dual_obj": fraction_str(gap.run.dual.objective()),
         "ratio": fraction_str(gap.ratio),
         "opt_is_analytic": gap.opt_is_analytic,
         "final": list(gap.run.final),
     }
 
 
-def sweep_to_obj(rows: list[SweepRow]) -> list[dict]:
-    return [
-        {
-            "k": row.k,
-            "p": row.p,
-            "ratio": fraction_str(row.ratio),
-            "formula_value": fraction_str(row.formula_value),
-            "matches": row.matches,
-            "opt_is_analytic": row.opt_is_analytic,
-        }
-        for row in rows
-    ]
+def sweep_to_obj(gaps: list[GapResult]) -> list[dict]:
+    """One JSON row per gap run.  Its `matches`, whether the ratio is the
+    family's predicted ratio, is decided here alone: `experiment` prints
+    it and exits by it."""
+    rows = []
+    for gap in gaps:
+        formula = predicted_ratio(gap.params)
+        rows.append(
+            {
+                "k": gap.params.k,
+                "p": gap.params.p,
+                "ratio": fraction_str(gap.ratio),
+                "formula_value": fraction_str(formula),
+                "matches": gap.ratio == formula,
+                "opt_is_analytic": gap.opt_is_analytic,
+            }
+        )
+    return rows
 
 
 def to_dot(inst: Instance) -> str:

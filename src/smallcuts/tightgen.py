@@ -4,7 +4,8 @@ The family glues p copies of a 7-node gadget along a shared 3-node axis
 (z, b, r), giving 4p+3 nodes; p=1 is the plain gadget, the glued form with
 one copy, and every p takes the one bound k >= 2pq+1.  Red links form the
 expensive minimal cover (total 5p), blue links the cheap one (total p+2),
-and an optional epsilon surcharge on blue keeps blue strictly slack in
+so an adversarial run's ratio to the optimum is `predicted_ratio`, 5p/(p+2).
+An optional epsilon surcharge on blue keeps blue strictly slack in
 phase 1.  A link's color is its tag, read through `red_links` and
 `blue_links`.  Every build is validated against an exact degree battery; a
 mismatch is a construction bug, never a warning, so it raises
@@ -25,6 +26,7 @@ from itertools import combinations
 from .covering import Instance, Link, as_cost
 from .errors import ConstructionError, InvalidParameterError, require_int
 from .multigraph import Cut, MultiGraph, cut_degree
+from .wgmv import cost_of
 
 @dataclass(frozen=True)
 class GadgetParams:
@@ -249,9 +251,8 @@ def _validate_construction(labeled: LabeledInstance) -> None:
         if gu is not None and gv is not None and gu != gv:
             raise ConstructionError(f"edge ({u},{v}) runs between gadgets {gu + 1} and {gv + 1}")
 
-    links = labeled.instance.links
-    red_total = sum(links[i].cost for i in labeled.red_links)
-    blue_total = sum(links[i].cost for i in labeled.blue_links)
+    red_total = cost_of(labeled.instance, labeled.red_links)
+    blue_total = cost_of(labeled.instance, labeled.blue_links)
     if red_total != 5 * p:
         raise ConstructionError(f"red cost total {red_total}, expected {5 * p}")
     if blue_total != p + 2 + (p + 1) * params.epsilon:
@@ -273,6 +274,12 @@ def analytic_cores(params: GadgetParams) -> list[Cut]:
     cores = [_gadget_sets(params, i)[0] for i in range(params.p)]
     cores += [Cut.of((r,), params.n), c_set(params)]
     return sorted(cores, key=lambda s: s.mask)
+
+
+def predicted_ratio(params: GadgetParams) -> Fraction:
+    """5p/(p+2): red's total over blue's at epsilon 0, the ratio the
+    adversarial run reaches against the optimum."""
+    return Fraction(5 * params.p, params.p + 2)
 
 
 def expected_slice(params: GadgetParams) -> list[Cut]:

@@ -76,7 +76,6 @@ class DualSolution:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    index: int
     active_cores: tuple[Cut, ...]
     delta: Fraction
     newly_tight: tuple[int, ...]
@@ -169,9 +168,7 @@ def phase1(
         added += newly
         if listed is not None:
             listed = [s for s in listed if not any(link_crosses(links[i], s) for i in newly)]
-        records.append(
-            IterationRecord(index=len(records) + 1, active_cores=tuple(cores), delta=delta, newly_tight=tuple(newly))
-        )
+        records.append(IterationRecord(active_cores=tuple(cores), delta=delta, newly_tight=tuple(newly)))
     return added, DualSolution(dict(y)), records
 
 

@@ -67,6 +67,20 @@ MUTANTS = (
         ("tests/test_tightgen.py::test_k_bound_is_2pq_plus_1_at_every_p",),
     ),
     Mutant(
+        "the family's predicted ratio is 5p/(p+1)",
+        "tightgen.py",
+        "return Fraction(5 * params.p, params.p + 2)",
+        "return Fraction(5 * params.p, params.p + 1)",
+        ("tests/test_oracle.py::test_gap_sweep_even_odd_formulas",),
+    ),
+    Mutant(
+        "a gap run's ratio is the optimum over the algorithm's cost",
+        "oracle.py",
+        "return self.alg_cost / self.opt_cost",
+        "return self.opt_cost / self.alg_cost",
+        ("tests/test_oracle.py::test_gap_experiment_values",),
+    ),
+    Mutant(
         "phase kernel ties to the largest row",
         "multigraph.py",
         "prev, last = last, weight.index(value)",

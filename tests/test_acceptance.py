@@ -21,7 +21,7 @@ from smallcuts.covering import (
 )
 from smallcuts.multigraph import Cut, MultiGraph, cut_degree
 from smallcuts.oracle import brute_force_optimum, gap_experiment, gap_sweep
-from smallcuts.tightgen import analytic_cores, expected_slice, generate_instance
+from smallcuts.tightgen import analytic_cores, expected_slice, generate_instance, predicted_ratio
 from smallcuts.wgmv import TiePolicy, cost_of, dual_feasible, run
 
 from cores_reference import cores_bruteforce
@@ -144,7 +144,7 @@ def test_criterion_05_dual_certificate():
         assert entries == {s: Fraction(1) for s in analytic_cores(lab.params)}
         assert len(entries) == p + 2
         assert dual_feasible(inst, res.run.dual)
-        assert res.dual_obj == p + 2 == res.opt_cost
+        assert res.run.dual.objective() == p + 2 == res.opt_cost
 
 
 @criterion(6, "perturbed variant never tightens blue and outputs red under all policies")
@@ -168,15 +168,15 @@ def test_criterion_07_policy_sensitivity():
 
 @criterion(8, "sweep ratios equal the odd and even closed forms exactly")
 def test_criterion_08_gap_formula_sweep():
-    rows = {row.k: row for row in gap_sweep([5, 6, 7, 8, 9, 10, 11])}
+    gaps = {gap.params.k: gap for gap in gap_sweep([5, 6, 7, 8, 9, 10, 11])}
     for k in (5, 7, 9, 11):
-        assert rows[k].ratio == Fraction(5 * (k - 1), k + 3)
-        assert rows[k].matches
+        assert gaps[k].ratio == Fraction(5 * (k - 1), k + 3)
+        assert gaps[k].ratio == predicted_ratio(gaps[k].params)
     for k in (6, 8, 10):
-        assert rows[k].ratio == Fraction(5 * (k - 2), k + 2)
-        assert rows[k].matches
-    for row in rows.values():
-        assert row.p == (row.k - 1) // 2
+        assert gaps[k].ratio == Fraction(5 * (k - 2), k + 2)
+        assert gaps[k].ratio == predicted_ratio(gaps[k].params)
+    for gap in gaps.values():
+        assert gap.params.p == (gap.params.k - 1) // 2
 
 
 @criterion(9, "500 random complete-link instances: feasible, minimal, certified")

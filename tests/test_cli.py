@@ -228,6 +228,14 @@ def test_experiment_table_and_json(tmp_path, capsys):
     assert all(r["matches"] for r in rows)
 
 
+def test_experiment_at_p_1_matches_the_formula(capsys):
+    assert main(["experiment", "--k", "3", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "   3    1        5/3        5/3   true     exact",
+        "   4    1        5/3        5/3   true     exact",
+    ]
+
+
 def test_export_dot(tmp_path, capsys):
     path = _write(tmp_path, "g.json")
     out = tmp_path / "g.dot"

@@ -76,6 +76,22 @@ def test_instance_rejects_wrong_field_types_by_name(graph, links, field):
         Instance(graph=graph, k=2, links=links)
 
 
+@pytest.mark.parametrize(
+    "build,field",
+    [
+        (lambda: Instance(graph=MultiGraph(3, []), k=2, links=None), "links"),
+        (lambda: Instance(graph=MultiGraph(3, []), k=2, links=5), "links"),
+        (lambda: MultiGraph(3, None), "edges"),
+        (lambda: MultiGraph(3, 5), "edges"),
+        (lambda: MultiGraph(3, [(0, 1)]), "edges"),
+    ],
+    ids=["links-none", "links-int", "edges-none", "edges-int", "edge-pair"],
+)
+def test_wrongly_shaped_containers_raise_by_name(build, field):
+    with pytest.raises(InvalidParameterError, match=f"^{field} must"):
+        build()
+
+
 def test_link_validation():
     with pytest.raises(InvalidParameterError):
         Link(2, 2, 1)

@@ -16,7 +16,7 @@ from smallcuts.oracle import (
     verify_cores_lemma,
     verify_feasibility_lemma,
 )
-from smallcuts.tightgen import generate_instance
+from smallcuts.tightgen import generate_instance, predicted_ratio
 from smallcuts.wgmv import TiePolicy
 
 
@@ -300,7 +300,7 @@ def test_red_without_yr_leaves_y_cut_uncovered():
 
 def test_gap_experiment_values():
     adv = gap_experiment(generate_instance(1, 2, 5), TiePolicy.ADVERSARIAL)
-    assert (adv.alg_cost, adv.opt_cost, adv.dual_obj) == (10, 4, 4)
+    assert (adv.alg_cost, adv.opt_cost, adv.run.dual.objective()) == (10, 4, 4)
     assert adv.ratio == Fraction(5, 2)
     assert not adv.opt_is_analytic
     hlp = gap_experiment(generate_instance(1, 2, 5), TiePolicy.HELPFUL)
@@ -322,7 +322,7 @@ def test_gap_experiment_past_the_link_bound_needs_a_certificate():
     the cost of a blue cover; otherwise the experiment refuses."""
     lab = generate_instance(1, 5, 11)
     res = gap_experiment(lab)
-    assert (res.opt_cost, res.dual_obj, res.opt_is_analytic) == (7, 7, True)
+    assert (res.opt_cost, res.run.dual.objective(), res.opt_is_analytic) == (7, 7, True)
     swap = {"red": "blue", "blue": "red"}
     links = tuple([dataclasses.replace(ln, tag=swap[ln.tag]) for ln in lab.instance.links])
     swapped = dataclasses.replace(lab, instance=dataclasses.replace(lab.instance, links=links))
@@ -341,23 +341,33 @@ def test_gap_experiment_perturbed_optimum_is_exact():
 
 
 def test_gap_sweep_rows():
-    rows = gap_sweep([5, 6, 9, 11])
-    by_k = {row.k: row for row in rows}
-    assert by_k[5].ratio == Fraction(5, 2) and by_k[5].p == 2
+    gaps = gap_sweep([5, 6, 9, 11])
+    by_k = {gap.params.k: gap for gap in gaps}
+    assert list(by_k) == [5, 6, 9, 11]
+    assert by_k[5].ratio == Fraction(5, 2) and by_k[5].params.p == 2
     assert by_k[6].ratio == Fraction(5, 2)
-    assert by_k[9].ratio == Fraction(10, 3) and by_k[9].p == 4
+    assert by_k[9].ratio == Fraction(10, 3) and by_k[9].params.p == 4
     assert by_k[11].ratio == Fraction(25, 7) and by_k[11].opt_is_analytic
-    assert all(row.matches for row in rows)
+    assert all(gap.ratio == predicted_ratio(gap.params) for gap in gaps)
     assert not by_k[9].opt_is_analytic
 
 
 def test_gap_sweep_even_odd_formulas():
     for k in (5, 7, 9, 11):
-        (row,) = gap_sweep([k])
-        assert row.formula_value == Fraction(5 * (k - 1), k + 3)
+        (gap,) = gap_sweep([k])
+        assert predicted_ratio(gap.params) == Fraction(5 * (k - 1), k + 3)
     for k in (6, 8, 10):
-        (row,) = gap_sweep([k])
-        assert row.formula_value == Fraction(5 * (k - 2), k + 2)
+        (gap,) = gap_sweep([k])
+        assert predicted_ratio(gap.params) == Fraction(5 * (k - 2), k + 2)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_gap_sweep_is_the_adversarial_gap_run_at_the_largest_p(k):
+    (got,) = gap_sweep([k])
+    want = gap_experiment(generate_instance(1, (k - 1) // 2, k))
+    assert got.params == want.params
+    assert (got.alg_cost, got.opt_cost, got.opt_is_analytic) == (want.alg_cost, want.opt_cost, want.opt_is_analytic)
+    assert got.run == want.run
 
 
 def test_generated_optimum_is_p_plus_2():

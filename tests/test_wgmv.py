@@ -292,9 +292,9 @@ def _assert_cores_are_the_reference(inst: Instance, added: list[int], records) -
     """Each iteration's cores are the minimal cuts the links appended
     before it leave uncovered."""
     before = 0
-    for rec in records:
+    for index, rec in enumerate(records, 1):
         chosen = [inst.links[i] for i in added[:before]]
-        assert list(rec.active_cores) == cores_bruteforce(inst, chosen), rec.index
+        assert list(rec.active_cores) == cores_bruteforce(inst, chosen), index
         before += len(rec.newly_tight)
     assert before == len(added)
 
@@ -401,19 +401,18 @@ def test_every_phase1_iteration_replays_against_the_dual(monkeypatch):
         for policy in TiePolicy:
             asked.clear()
             added, dual, records = phase1(inst, policy)
-            assert [rec.index for rec in records] == list(range(1, len(records) + 1))
             load = [Fraction(0)] * len(links)
             appended: list[int] = []
-            for rec in records:
+            for index, rec in enumerate(records, 1):
                 open_ = [i for i in range(len(links)) if i not in appended]
                 c = {i: sum(1 for s in rec.active_cores if link_crosses(links[i], s)) for i in open_}
                 ratios = {i: (links[i].cost - load[i]) / c[i] for i in open_ if c[i] > 0}
-                assert rec.delta == min(ratios.values()), rec.index
+                assert rec.delta == min(ratios.values()), index
                 several += any(c[i] > 1 and ratios[i] == rec.delta for i in ratios)
                 for i in open_:
                     load[i] += rec.delta * c[i]
                 tight = [i for i in open_ if load[i] == links[i].cost]
-                assert list(rec.newly_tight) == _policy_order(inst, policy, tight), rec.index
+                assert list(rec.newly_tight) == _policy_order(inst, policy, tight), index
                 appended += rec.newly_tight
             assert added == appended
             raised = {}
